@@ -11,10 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "support/test_grids.hpp"
+#include "sweep/emit.hpp"
+#include "sweep/executor.hpp"
+#include "sweep/spec.hpp"
 
 namespace smache {
 namespace {
@@ -182,6 +189,124 @@ TEST(SimEquivalence, SmacheWithInjectedStalls) {
                            "smache: cycles=575 fmax=238.279MHz "
                            "dram_read=1540B dram_write=1452B "
                            "time=2.41313us mops=601.707"});
+}
+
+// ---------------------------------------------------------------------------
+// Golden sweep report: the cycle goldens above pin F=1 2D runs only. This
+// fixed scenario set reaches every other path the three tops and the engine
+// take — F = 2 / 3 write-back drains and cell assembly, static-buffer
+// capture of multi-word cells, cascade depth 2, 2x2 and 2x2x2 tile meshes
+// (tiled aggregation), 3D star7 grids, the ddr row model and the stall
+// metrics — and pins the whole JSON + CSV report (metrics included, wall
+// times excluded) byte for byte against tests/golden/. On a mismatch the
+// regenerated report is written next to the test binary's working
+// directory as <name>.actual for inspection.
+// ---------------------------------------------------------------------------
+
+std::vector<sweep::SweepSpec> golden_specs() {
+  using sweep::GridDim;
+  using sweep::SweepSpec;
+  const auto base = [] {
+    SweepSpec s;
+    s.archs = {Architecture::Smache, Architecture::Baseline};
+    s.steps = {4};
+    s.depths = {1, 2};
+    return s;
+  };
+  std::vector<SweepSpec> specs;
+  {  // F = 1, both stream impls, both DRAM families, 2x2 tiles.
+    SweepSpec s = base();
+    s.impls = {model::StreamImpl::Hybrid, model::StreamImpl::RegisterOnly};
+    s.grids = {{12, 10}};
+    s.drams = {"functional", "ddr"};
+    s.tiles = {{1, 1}, {2, 2}};
+    s.stencils = {"star5"};
+    s.kernels = {"jacobi"};
+    s.inputs = {"jacobi-init"};
+    s.boundaries = {"open"};
+    specs.push_back(s);
+  }
+  // Periodic rows need static buffers, which the cascade cannot fuse, so
+  // the paper's map runs untiled at depth 1 only and tiled at depth 2 (a
+  // rejected pairing would pin an error text naming a source line).
+  for (const std::size_t depth : {1, 2}) {  // F = 1 with static buffers
+    SweepSpec s = base();
+    s.grids = {{11, 11}};
+    s.depths = {depth};
+    s.tiles = {depth == 1 ? GridDim{1, 1} : GridDim{2, 2}};
+    s.stencils = {"vn4"};
+    s.kernels = {"average"};
+    s.boundaries = {"paper"};
+    specs.push_back(s);
+  }
+  for (const char* bc : {"open", "paper"}) {
+    // F = 2: cell staging, write-back drain, multi-word static capture.
+    SweepSpec s = base();
+    s.grids = {{10, 9}};
+    if (std::string(bc) == "paper") s.depths = {1};
+    s.stencils = {"star5"};
+    s.kernels = {"hotspot"};
+    s.inputs = {"hotspot-chip"};
+    s.boundaries = {bc};
+    specs.push_back(s);
+  }
+  {  // F = 3 on the ddr row model, mirror boundaries, 2x2 tiles.
+    SweepSpec s = base();
+    s.grids = {{10, 10}};
+    s.drams = {"ddr"};
+    s.tiles = {{1, 1}, {2, 2}};
+    s.stencils = {"star5"};
+    s.kernels = {"fdtd"};
+    s.inputs = {"fdtd-cavity"};
+    s.boundaries = {"open", "quadrant"};
+    specs.push_back(s);
+  }
+  {  // 3D star7 with slice-axis tiles.
+    SweepSpec s = base();
+    s.grids = {{6, 6, 4}};
+    s.tiles = {{1, 1}, {2, 2, 2}};
+    s.stencils = {"star7"};
+    s.kernels = {"jacobi"};
+    s.inputs = {"jacobi-init"};
+    s.boundaries = {"open", "island"};
+    specs.push_back(s);
+  }
+  return specs;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void expect_golden(const std::string& name, const std::string& actual) {
+  const std::string golden = read_file(std::string(SMACHE_GOLDEN_DIR) + "/" +
+                                       name);
+  EXPECT_FALSE(golden.empty()) << "missing golden " << name;
+  EXPECT_TRUE(actual == golden) << name << " drifted from its golden";
+  if (actual != golden) std::ofstream(name + ".actual") << actual;
+}
+
+TEST(SimEquivalence, GoldenSweepReport) {
+  std::vector<sweep::Scenario> scenarios;
+  for (const sweep::SweepSpec& spec : golden_specs()) {
+    spec.validate();
+    for (sweep::Scenario& s : spec.expand()) scenarios.push_back(std::move(s));
+  }
+  ASSERT_GE(scenarios.size(), 30u);
+  sweep::ExecutorOptions opts;
+  opts.metrics = true;
+  opts.verify_reference = true;
+  const auto results = sweep::SweepExecutor(opts).run(std::move(scenarios));
+  for (const sweep::ScenarioResult& r : results)
+    ASSERT_TRUE(r.ok && r.reference_match) << r.scenario.label << r.error;
+  sweep::EmitOptions emit;
+  emit.include_metrics = true;
+  emit.name = "golden-report";
+  expect_golden("sweep_report.json", sweep::emit_json(results, emit));
+  expect_golden("sweep_report.csv", sweep::emit_csv(results, emit));
 }
 
 }  // namespace
