@@ -73,6 +73,32 @@ void run_to_completion(sim::Simulator& sim, const Top& top,
       max_cycles);
 }
 
+/// Fusing depth > 1 time steps per DRAM pass needs the cascade, which only
+/// the Smache architecture has. Checked before anything is allocated.
+void require_fusable(Architecture arch, const ProblemSpec& problem,
+                     std::size_t depth) {
+  if (depth <= 1) return;
+  SMACHE_REQUIRE_MSG(arch != Architecture::Baseline,
+                     "the per-tap baseline has no cascade: temporal "
+                     "blocking (depth > 1) needs the Smache architecture");
+  SMACHE_REQUIRE_MSG(problem.steps % depth == 0,
+                     "steps must be a multiple of the cascade depth");
+}
+
+/// The paper's derived Figure-2 metrics: logical work in tuple elements
+/// (halo recomputation of tiled runs is a cost, not output) and its rate
+/// at the timing model's fmax.
+void derive_throughput(RunResult& result, const ProblemSpec& problem) {
+  result.ops = static_cast<std::uint64_t>(problem.cells()) * problem.steps *
+               problem.kernel.ops_per_point(problem.shape.size() *
+                                            problem.kernel.fields());
+  if (result.timing.fmax_mhz > 0.0 && result.cycles > 0) {
+    result.exec_time_us =
+        static_cast<double>(result.cycles) / result.timing.fmax_mhz;
+    result.mops = static_cast<double>(result.ops) / result.exec_time_us;
+  }
+}
+
 }  // namespace
 
 const char* to_string(Architecture arch) noexcept {
@@ -101,22 +127,32 @@ model::BufferPlan Engine::plan_only(const ProblemSpec& problem) const {
 
 RunResult Engine::run(const ProblemSpec& problem,
                       const grid::Grid<word_t>& initial) const {
-  SMACHE_REQUIRE(initial.height() == problem.height &&
-                 initial.width() == problem.width &&
-                 initial.depth() == problem.depth);
-  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
-                     "initial grid's cell layout must match the kernel's");
-  return execute(problem, &initial);
+  return execute(problem, &initial, 0);
 }
 
 RunResult Engine::elaborate_only(const ProblemSpec& problem) const {
-  return execute(problem, nullptr);
+  return execute(problem, nullptr, 0);
+}
+
+RunResult Engine::run_cascade(const ProblemSpec& problem,
+                              const grid::Grid<word_t>& initial,
+                              std::size_t depth) const {
+  SMACHE_REQUIRE_MSG(depth >= 1, "cascade depth must be at least 1");
+  return execute(problem, &initial, depth);
 }
 
 RunResult Engine::execute(const ProblemSpec& problem,
-                          const grid::Grid<word_t>* initial) const {
+                          const grid::Grid<word_t>* initial,
+                          std::size_t cascade_depth) const {
   problem.validate();
-  const std::size_t cells = problem.cells();
+  if (initial != nullptr) {
+    SMACHE_REQUIRE(initial->height() == problem.height &&
+                   initial->width() == problem.width &&
+                   initial->depth() == problem.depth);
+    SMACHE_REQUIRE_MSG(initial->fields() == problem.kernel.fields(),
+                       "initial grid's cell layout must match the kernel's");
+  }
+  require_fusable(options_.arch, problem, cascade_depth);
   const CellLayout layout{problem.kernel.fields()};
   // Validated against size_t wrap before anything sizes a buffer by it.
   const std::size_t grid_words = grid::Grid<word_t>::checked_words(
@@ -141,39 +177,40 @@ RunResult Engine::execute(const ProblemSpec& problem,
 
   RunResult result;
   result.arch = options_.arch;
-
-  // Wall-clock watchdog: on expiry, surface the progress made (cycles and
-  // DRAM counters at abort) through the exception's partial result.
   const WallDeadline deadline(options_.wall_timeout_ms);
-  const auto guarded_run = [&](const auto& top) {
-    try {
-      run_to_completion(sim, top, dram, options_.max_cycles, deadline);
-    } catch (const wall_expired&) {
-      result.cycles = sim.now();
-      result.dram = dram.stats();
-      result.timed_out = true;
-      throw engine_timeout(options_.wall_timeout_ms, std::move(result));
-    }
-  };
 
-  if (options_.arch == Architecture::Smache) {
-    model::BufferPlan plan = plan_only(problem);
-    rtl::SmacheTop top(sim, "smache", plan, problem.kernel, dram,
-                       problem.steps);
-    result.estimate = cost::estimate_memory(
-        plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
-    result.timing = cost::estimate_smache_timing(plan);
+  // Run `top` to completion (unless elaborating only), read the output
+  // region back, measure the resources charged under `root` and collect
+  // the observability output — all while `top` is alive, since the
+  // metrics and spans name its module.
+  const auto finish = [&](const auto& top, const char* root) {
     if (initial != nullptr) {
-      guarded_run(top);
+      // Wall-clock watchdog: on expiry, surface the progress made (cycles
+      // and DRAM counters at abort) through the exception's partial result.
+      try {
+        run_to_completion(sim, top, dram, options_.max_cycles, deadline);
+      } catch (const wall_expired&) {
+        result.cycles = sim.now();
+        result.dram = dram.stats();
+        result.timed_out = true;
+        throw engine_timeout(options_.wall_timeout_ms, std::move(result));
+      }
       result.cycles = sim.now();
-      result.warmup_cycles = top.warmup_end_cycle();
+      if constexpr (requires { top.warmup_end_cycle(); })
+        result.warmup_cycles = top.warmup_end_cycle();
       result.output = read_output_grid(dram, top.output_base(),
                                        problem.height, problem.width,
                                        problem.depth, layout);
     }
-    result.resources = cost::measure_actual(sim.ledger(), "smache");
-    result.plan = std::move(plan);
-  } else {
+    result.resources = cost::measure_actual(sim.ledger(), root);
+    if (options_.profile || options_.trace) {
+      sim.finalize_observability();
+      if (options_.profile) result.metrics = sim.metrics().snapshot();
+      if (options_.trace) result.trace_json = obs::to_trace_json(sim.spans());
+    }
+  };
+
+  if (options_.arch == Architecture::Baseline) {
     rtl::BaselineTop top(sim, "baseline", problem.height, problem.width,
                          problem.shape, problem.bc, problem.kernel, dram,
                          problem.steps, problem.depth);
@@ -182,102 +219,28 @@ RunResult Engine::execute(const ProblemSpec& problem,
         grid::CaseMap(problem.height, problem.width, problem.depth,
                       problem.shape)
             .case_count());
-    if (initial != nullptr) {
-      guarded_run(top);
-      result.cycles = sim.now();
-      result.output = read_output_grid(dram, top.output_base(),
-                                       problem.height, problem.width,
-                                       problem.depth, layout);
+    finish(top, "baseline");
+  } else {
+    model::BufferPlan plan = plan_only(problem);
+    result.estimate = cost::estimate_memory(
+        plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
+    result.timing = cost::estimate_smache_timing(plan);
+    if (cascade_depth == 0) {
+      rtl::SmacheTop top(sim, "smache", plan, problem.kernel, dram,
+                         problem.steps);
+      finish(top, "smache");
+    } else {
+      rtl::CascadeTop top(sim, "cascade", plan, problem.kernel, dram,
+                          cascade_depth, problem.steps / cascade_depth);
+      // The cascade replicates the stream buffer per fused step.
+      result.estimate->r_stream *= cascade_depth;
+      result.estimate->b_stream *= cascade_depth;
+      finish(top, "cascade");
     }
-    result.resources = cost::measure_actual(sim.ledger(), "baseline");
-  }
-
-  if (options_.profile || options_.trace) {
-    sim.finalize_observability();
-    if (options_.profile) result.metrics = sim.metrics().snapshot();
-    if (options_.trace) result.trace_json = obs::to_trace_json(sim.spans());
+    result.plan = std::move(plan);
   }
   result.dram = dram.stats();
-  result.ops =
-      static_cast<std::uint64_t>(cells) * problem.steps *
-      problem.kernel.ops_per_point(problem.shape.size() * layout.fields);
-  if (result.timing.fmax_mhz > 0.0 && result.cycles > 0) {
-    result.exec_time_us =
-        static_cast<double>(result.cycles) / result.timing.fmax_mhz;
-    result.mops = static_cast<double>(result.ops) / result.exec_time_us;
-  }
-  return result;
-}
-
-RunResult Engine::run_cascade(const ProblemSpec& problem,
-                              const grid::Grid<word_t>& initial,
-                              std::size_t depth) const {
-  problem.validate();
-  SMACHE_REQUIRE(initial.height() == problem.height &&
-                 initial.width() == problem.width &&
-                 initial.depth() == problem.depth);
-  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
-                     "initial grid's cell layout must match the kernel's");
-  SMACHE_REQUIRE_MSG(depth >= 1 && problem.steps % depth == 0,
-                     "steps must be a multiple of the cascade depth");
-  const std::size_t cells = problem.cells();
-  const CellLayout layout{problem.kernel.fields()};
-  const std::size_t grid_words = grid::Grid<word_t>::checked_words(
-      problem.height, problem.width, problem.depth, layout.fields);
-  const std::size_t passes = problem.steps / depth;
-
-  sim::Simulator sim;
-  sim.set_force_eval_all(options_.force_eval_all);
-  if (options_.profile) sim.enable_profiling();
-  if (options_.trace) sim.enable_spans();
-  mem::DramConfig dcfg = options_.dram;
-  if (options_.auto_bus) dcfg.shared_bus = false;
-  mem::DramModel dram(sim, "dram", 2 * grid_words, dcfg);
-  const auto words = initial.to_words();
-  for (std::size_t i = 0; i < words.size(); ++i) dram.poke(i, words[i]);
-
-  model::BufferPlan plan = plan_only(problem);
-  rtl::CascadeTop top(sim, "cascade", plan, problem.kernel, dram, depth,
-                      passes);
-
-  RunResult result;
-  result.arch = Architecture::Smache;
-  result.estimate = cost::estimate_memory(
-      plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
-  // The cascade replicates the stream buffer per fused step.
-  result.estimate->r_stream *= depth;
-  result.estimate->b_stream *= depth;
-  result.timing = cost::estimate_smache_timing(plan);
-  const WallDeadline deadline(options_.wall_timeout_ms);
-  try {
-    run_to_completion(sim, top, dram, options_.max_cycles, deadline);
-  } catch (const wall_expired&) {
-    result.cycles = sim.now();
-    result.dram = dram.stats();
-    result.timed_out = true;
-    throw engine_timeout(options_.wall_timeout_ms, std::move(result));
-  }
-  result.cycles = sim.now();
-  result.warmup_cycles = top.warmup_end_cycle();
-  result.output =
-      read_output_grid(dram, top.output_base(), problem.height,
-                       problem.width, problem.depth, layout);
-  if (options_.profile || options_.trace) {
-    sim.finalize_observability();
-    if (options_.profile) result.metrics = sim.metrics().snapshot();
-    if (options_.trace) result.trace_json = obs::to_trace_json(sim.spans());
-  }
-  result.resources = cost::measure_actual(sim.ledger(), "cascade");
-  result.plan = std::move(plan);
-  result.dram = dram.stats();
-  result.ops =
-      static_cast<std::uint64_t>(cells) * problem.steps *
-      problem.kernel.ops_per_point(problem.shape.size() * layout.fields);
-  if (result.timing.fmax_mhz > 0.0 && result.cycles > 0) {
-    result.exec_time_us =
-        static_cast<double>(result.cycles) / result.timing.fmax_mhz;
-    result.mops = static_cast<double>(result.ops) / result.exec_time_us;
-  }
+  derive_throughput(result, problem);
   return result;
 }
 
@@ -292,6 +255,7 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
                      "initial grid's cell layout must match the kernel's");
   SMACHE_REQUIRE_MSG(tiling.depth >= 1 && problem.steps % tiling.depth == 0,
                      "steps must be a multiple of the tiling depth");
+  require_fusable(options_.arch, problem, tiling.depth);
   if (tiling.tiles_r == 1 && tiling.tiles_c == 1 && tiling.tiles_s == 1)
     return tiling.depth > 1 ? run_cascade(problem, initial, tiling.depth)
                             : run(problem, initial);
@@ -342,13 +306,7 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
       // Counter samples sum across tiles and passes (stall totals over the
       // whole scenario); watermarks keep the max (see merge_samples).
       if (options_.profile) obs::merge_samples(agg.metrics, r.metrics);
-      agg.dram.read_requests += r.dram.read_requests;
-      agg.dram.words_read += r.dram.words_read;
-      agg.dram.words_written += r.dram.words_written;
-      agg.dram.row_hits += r.dram.row_hits;
-      agg.dram.row_misses += r.dram.row_misses;
-      agg.dram.injected_stall_cycles += r.dram.injected_stall_cycles;
-      agg.dram.read_busy_cycles += r.dram.read_busy_cycles;
+      agg.dram += r.dram;
     }
     agg.cycles += pass_cycles;
     if (pass == 0) {
@@ -377,14 +335,7 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
   }
 
   agg.output = std::move(state);
-  // Logical work only — the redundant halo compute is a cost, not output.
-  agg.ops = static_cast<std::uint64_t>(problem.cells()) * problem.steps *
-            problem.kernel.ops_per_point(problem.shape.size() *
-                                         problem.kernel.fields());
-  if (agg.timing.fmax_mhz > 0.0 && agg.cycles > 0) {
-    agg.exec_time_us = static_cast<double>(agg.cycles) / agg.timing.fmax_mhz;
-    agg.mops = static_cast<double>(agg.ops) / agg.exec_time_us;
-  }
+  derive_throughput(agg, problem);
   return agg;
 }
 

@@ -176,7 +176,9 @@ class Engine {
   /// steps on chip per DRAM pass, cutting traffic by ~depth. Requires
   /// problem.steps to be a multiple of depth and boundaries that resolve
   /// in-stream (open/mirror/constant — periodic wraps need the
-  /// double-buffered static buffers of the per-instance engine).
+  /// double-buffered static buffers of the per-instance engine). The
+  /// baseline has no cascade: it rejects depth > 1 with a contract_error
+  /// and runs depth 1 as run() does.
   RunResult run_cascade(const ProblemSpec& problem,
                         const grid::Grid<word_t>& initial,
                         std::size_t depth) const;
@@ -200,8 +202,14 @@ class Engine {
   RunResult elaborate_only(const ProblemSpec& problem) const;
 
  private:
+  /// The one set-up path behind run, elaborate_only and run_cascade:
+  /// simulator, DRAM, the top (the architecture's per-instance design when
+  /// cascade_depth is 0, else a cascade_depth-deep CascadeTop; the
+  /// baseline has no cascade and runs depth 1 as its plain run), the
+  /// watchdog and the result. A null `initial` elaborates without running.
   RunResult execute(const ProblemSpec& problem,
-                    const grid::Grid<word_t>* initial) const;
+                    const grid::Grid<word_t>* initial,
+                    std::size_t cascade_depth) const;
   EngineOptions options_;
 };
 

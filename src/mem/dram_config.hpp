@@ -82,6 +82,19 @@ struct DramStats {
   std::uint64_t injected_delay_cycles = 0;
   std::uint64_t read_busy_cycles = 0;
 
+  /// Member-wise sum (tiled runs total their tile-runs' traffic).
+  DramStats& operator+=(const DramStats& o) noexcept {
+    read_requests += o.read_requests;
+    words_read += o.words_read;
+    words_written += o.words_written;
+    row_hits += o.row_hits;
+    row_misses += o.row_misses;
+    injected_stall_cycles += o.injected_stall_cycles;
+    injected_delay_cycles += o.injected_delay_cycles;
+    read_busy_cycles += o.read_busy_cycles;
+    return *this;
+  }
+
   std::uint64_t bytes_read() const noexcept { return words_read * 4; }
   std::uint64_t bytes_written() const noexcept { return words_written * 4; }
   std::uint64_t total_bytes() const noexcept {

@@ -37,15 +37,7 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
                   {path + "/ctrl/col_elem",
                    smache::count_bits(shape.size() * f)},
                   {path + "/ctrl/wb_count", smache::count_bits(cells_)}};
-              if (f > 1) {
-                charges.push_back(
-                    {path + "/ctrl/wb_field", smache::count_bits(f)});
-                charges.push_back(
-                    {path + "/ctrl/wb_index", smache::count_bits(cells_)});
-                charges.push_back(
-                    {path + "/ctrl/wb_vals",
-                     static_cast<std::uint32_t>((f - 1) * kWordBits)});
-              }
+              if (f > 1) append_wb_charges(charges, path + "/ctrl", f, cells_);
               return charges;
             }()),
       tuple_regs_(sim, path + "/datapath/tuple_regs",
@@ -119,27 +111,22 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
 
 bool BaselineTop::done() const noexcept { return top_.is(Top::Done); }
 
-std::uint64_t BaselineTop::in_base() const noexcept {
-  return (ctrl_.q().instance % 2 == 0) ? 0 : words_;
-}
-std::uint64_t BaselineTop::out_base() const noexcept {
-  return (ctrl_.q().instance % 2 == 0) ? words_ : 0;
-}
 std::uint64_t BaselineTop::output_base() const noexcept {
-  return (steps_ % 2 == 0) ? 0 : words_;
+  return region_base(steps_, words_);
 }
 
 std::uint64_t BaselineTop::element_addr(std::uint64_t cell,
                                         const Source& s) const {
+  const std::uint64_t in_base = region_base(ctrl_.q().instance, words_);
   // Dummy read of the centre cell's words.
-  if (!s.is_data) return in_base() + cell * fields_;
+  if (!s.is_data) return in_base + cell * fields_;
   // (r + row_shift) * W + (c + col_shift) == cell + lin_shift; the zone
   // resolution that produced the shifts guarantees the target stays inside
   // the grid for every cell of the case. Cell addresses scale by F words.
   const std::int64_t addr = static_cast<std::int64_t>(cell) + s.lin_shift;
   SMACHE_ASSERT(addr >= 0 &&
                 addr < static_cast<std::int64_t>(cells_));
-  return in_base() + static_cast<std::uint64_t>(addr) * fields_;
+  return in_base + static_cast<std::uint64_t>(addr) * fields_;
 }
 
 void BaselineTop::eval_run() {
@@ -169,28 +156,15 @@ void BaselineTop::eval_run() {
     }
   }
 
-  // -- collector: one data word per cycle; kernel + write on the last --
-  if (fields_ > 1 && c.wb_field > 0) {
-    // F > 1: drain the staged result cell (one word per cycle) before
-    // collecting further tuple words; field 0 went out on the pop cycle.
-    if (dram_.write_req().can_push()) {
-      dram_.write_req().push(
-          mem::DramWriteReq{out_base() + c.wb_index * fields_ + c.wb_field,
-                            c.wb_vals[c.wb_field]});
-      mreg_->count(s_wb_drain_);
-      did_work = true;
-      if (c.wb_field + 1 == static_cast<std::uint32_t>(fields_)) {
-        ctrl_.d().wb_field = 0;
-        ctrl_.d().wb_count = c.wb_count + 1;
-        if (c.wb_count + 1 == cells_) {
-          top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
-        }
-      } else {
-        ctrl_.d().wb_field = c.wb_field + 1;
-      }
-    } else {
-      mreg_->count(s_wb_bp_);
-    }
+  // -- collector: one data word per cycle; kernel + write on the last.
+  //    An F > 1 result cell drains (one word per cycle) before further
+  //    tuple words are collected; field 0 went out on the pop cycle. --
+  const std::uint64_t out_base = region_base(c.instance + 1, words_);
+  bool retired = false;
+  if (c.wb_field > 0) {
+    retired = drain_result_field(dram_, ctrl_, fields_, out_base,
+                                 WritebackSlots{mreg_, s_wb_bp_, s_wb_drain_},
+                                 did_work);
   } else if (c.col_cell < cells_ && !dram_.read_data().can_pop()) {
     mreg_->count(s_dram_wait_);
   } else if (c.col_cell < cells_) {
@@ -219,25 +193,19 @@ void BaselineTop::eval_run() {
         }
         std::array<word_t, kMaxFields> out{};
         apply_kernel_cells(kernel_spec_, scratch_, fields_, out.data());
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + cell * fields_, out[0]});
+        retired = post_result_cell<false>(dram_, &ctrl_, fields_, out_base,
+                                          cell, out);
         ctrl_.d().col_elem = 0;
         ctrl_.d().col_cell = cell + 1;
-        if (fields_ == 1) {
-          ctrl_.d().wb_count = c.wb_count + 1;
-          if (c.wb_count + 1 == cells_) {
-            top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
-          }
-        } else {
-          // Stage fields 1..F-1 for the following cycles' drain.
-          ctrl_.d().wb_index = cell;
-          ctrl_.d().wb_vals = out;
-          ctrl_.d().wb_field = 1;
-        }
       }
     } else {
       mreg_->count(s_wb_bp_);
     }
+  }
+  if (retired) {
+    ctrl_.d().wb_count = c.wb_count + 1;
+    if (c.wb_count + 1 == cells_)
+      top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
   }
 
   // Starved: both FSMs are blocked on channel conditions subscribed to in
@@ -253,9 +221,7 @@ void BaselineTop::eval() {
       eval_run();
       break;
     case Top::Gap:
-      // Memory fence between instances: the next instance reads the
-      // region the writes are still draining into.
-      if (dram_.write_req().empty() && dram_.idle()) {
+      if (fence_passed(dram_)) {
         const Ctrl& c = ctrl_.q();
         Ctrl& d = ctrl_.d();
         d.instance = c.instance + 1;
@@ -266,10 +232,6 @@ void BaselineTop::eval() {
         d.wb_count = 0;
         d.wb_field = 0;
         top_.go(Top::Run);
-      } else {
-        // Sound lower bound on the first cycle the fence can pass; write
-        // drains also wake us early via the write_req subscription.
-        sleep_for(dram_.min_cycles_to_idle());
       }
       break;
     case Top::Done:

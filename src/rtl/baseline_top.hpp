@@ -35,7 +35,7 @@
 
 namespace smache::rtl {
 
-class BaselineTop : public sim::Module {
+class BaselineTop : public TopModule {
  public:
   /// `depth` = slice extent of the grid (1 = 2D, the original design).
   BaselineTop(sim::Simulator& sim, const std::string& path,
@@ -98,8 +98,6 @@ class BaselineTop : public sim::Module {
     std::array<word_t, kMaxFields> wb_vals{};
   };
 
-  std::uint64_t in_base() const noexcept;
-  std::uint64_t out_base() const noexcept;
   std::uint64_t element_addr(std::uint64_t cell, const Source& s) const;
   void eval_run();
 

@@ -25,16 +25,8 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
                   {path + "/ctrl/pass", smache::count_bits(passes)},
                   {path + "/ctrl/req_issued", 1},
                   {path + "/ctrl/wb_count", smache::count_bits(cells_)}};
-              if (kernel_spec.fields() > 1) {
-                charges.push_back({path + "/ctrl/wb_field",
-                                   smache::count_bits(kernel_spec.fields())});
-                charges.push_back(
-                    {path + "/ctrl/wb_index", smache::count_bits(cells_)});
-                charges.push_back(
-                    {path + "/ctrl/wb_vals",
-                     static_cast<std::uint32_t>(
-                         (kernel_spec.fields() - 1) * kWordBits)});
-              }
+              if (fields_ > 1)
+                append_wb_charges(charges, path + "/ctrl", fields_, cells_);
               return charges;
             }()),
       mreg_(&sim.metrics()),
@@ -78,13 +70,8 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
            smache::count_bits(cells_)}};
       // Stage 0 assembles cells from the DRAM word stream; later stages
       // receive whole cells on the inter-stage channel and stage nothing.
-      if (fields_ > 1 && k == 0) {
-        scharges.push_back({path + "/ctrl/" + stage_id + "/in_fill",
-                            smache::count_bits(fields_)});
-        scharges.push_back(
-            {path + "/ctrl/" + stage_id + "/in_cell",
-             static_cast<std::uint32_t>((fields_ - 1) * kWordBits)});
-      }
+      if (fields_ > 1 && k == 0)
+        append_in_charges(scharges, path + "/ctrl/" + stage_id, fields_);
       st.ctrl = std::make_unique<sim::RegGroup<StageCtrl>>(sim, StageCtrl{},
                                                            scharges);
     }
@@ -110,14 +97,8 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
 
 bool CascadeTop::done() const noexcept { return top_.is(Top::Done); }
 
-std::uint64_t CascadeTop::in_base() const noexcept {
-  return (ctrl_.q().pass % 2 == 0) ? 0 : words_;
-}
-std::uint64_t CascadeTop::out_base() const noexcept {
-  return (ctrl_.q().pass % 2 == 0) ? words_ : 0;
-}
 std::uint64_t CascadeTop::output_base() const noexcept {
-  return (passes_ % 2 == 0) ? 0 : words_;
+  return region_base(passes_, words_);
 }
 
 bool CascadeTop::eval_stage(std::size_t k) {
@@ -134,78 +115,32 @@ bool CascadeTop::eval_stage(std::size_t k) {
     if (!st.kernel->in().can_push()) {
       mreg_->count(s_kernel_bp_);
     } else {
-      const auto& ops = case_plans_[case_of_cell_[emit_i]].ops;
-      // Staged in place; every elems[0..count) field is written below.
-      TupleMsg& msg = st.kernel->in().push_slot();
-      msg.index = emit_i;
-      msg.count = static_cast<std::uint32_t>(ops.size() * fields_);
-      for (std::size_t j = 0; j < ops.size(); ++j) {
-        const EmitOp& op = ops[j];
-        grid::TupleElem* dst = msg.elems.data() + j * fields_;
-        switch (op.kind) {
-          case EmitOp::Kind::Window:
-            // op.slot is the cell's field-0 register slot; fields are
-            // adjacent (see StreamBuffer::slot_of_age).
-            for (std::size_t f = 0; f < fields_; ++f)
-              dst[f] =
-                  grid::TupleElem{st.window->tap_slot(op.slot + f), true};
-            break;
-          case EmitOp::Kind::Constant:
-            for (std::size_t f = 0; f < fields_; ++f)
-              dst[f] = grid::TupleElem{op.constant, true};
-            break;
-          case EmitOp::Kind::Skip:
-            for (std::size_t f = 0; f < fields_; ++f)
-              dst[f] = grid::TupleElem{0, false};
-            break;
-          case EmitOp::Kind::Static:
-            SMACHE_ASSERT_MSG(false, "cascade plans never contain static "
-                                     "sources");
-            break;
-        }
-      }
+      fill_tuple<false>(st.kernel->in().push_slot(), emit_i,
+                        case_plans_[case_of_cell_[emit_i]], *st.window,
+                        fields_);
       st.ctrl->d().emit_next = emit_i + 1;
       emitting = true;
       did_work = true;
     }
   }
 
-  // -- window shift from this stage's input channel --
+  // -- window shift: stage 0 from the DRAM word stream (see feed_window),
+  // later stages whole cells from the inter-stage channel; past the last
+  // cell, zero cells flush the window --
   const std::uint64_t emit_eff = emitting ? emit_i + 1 : emit_i;
   const bool more_shifts = n < cells_ - 1 + center;
   const bool window_room = n < emit_eff + center;
   if (more_shifts && window_room) {
     if (n >= cells_) {
-      // Flush region past the last real cell: shift a zero cell.
-      const word_t zero[kMaxFields] = {};
-      st.window->shift_cell(zero);
+      st.window->shift_cell(kZeroCell);
       st.ctrl->d().shifts = n + 1;
       did_work = true;
     } else if (k == 0) {
-      // Stage 0 assembles one cell from the DRAM word stream. For F = 1
-      // the word IS the cell and shifts the same cycle it arrives (the
-      // original timing); F > 1 stages F-1 words, then shifts on the Fth.
-      if (dram_.read_data().can_pop()) {
-        const word_t v = dram_.read_data().pop();
-        const std::uint32_t fill = sc.in_fill;
-        if (fill + 1 == fields_) {
-          word_t cell[kMaxFields] = {};
-          for (std::uint32_t f = 0; f < fill; ++f) cell[f] = sc.in_cell[f];
-          cell[fill] = v;
-          st.window->shift_cell(cell);
-          st.ctrl->d().shifts = n + 1;
-          st.ctrl->d().in_fill = 0;
-        } else {
-          st.ctrl->d().in_cell[fill] = v;
-          st.ctrl->d().in_fill = fill + 1;
-          mreg_->count(s_gather_staging_);
-        }
-        did_work = true;
-      } else {
-        mreg_->count(s_dram_wait_);
-      }
+      if (feed_window<false>(dram_, st.ctrl.get(), fields_, *st.window,
+                             *mreg_, s_dram_wait_, s_gather_staging_,
+                             did_work))
+        st.ctrl->d().shifts = n + 1;
     } else if (st.input->can_pop()) {
-      // Later stages receive whole cells on the inter-stage channel.
       st.window->shift_cell(st.input->pop().w.data());
       st.ctrl->d().shifts = n + 1;
       did_work = true;
@@ -215,60 +150,19 @@ bool CascadeTop::eval_stage(std::size_t k) {
   }
 
   // -- drain this stage's kernel into the next stage / DRAM --
-  const bool last = k + 1 == stages_.size();
-  if (last) {
+  if (k + 1 == stages_.size()) {
     const Ctrl& c = ctrl_.q();
-    if (fields_ == 1) {
-      if (st.kernel->out().can_pop()) {
-        if (dram_.write_req().can_push()) {
-          const ResultMsg res = st.kernel->out().pop();
+    const bool retired = write_back_step<false>(
+        dram_, st.kernel->out(), &ctrl_, fields_,
+        region_base(c.pass + 1, words_),
+        WritebackSlots{mreg_, s_wb_bp_, s_wb_drain_}, did_work,
+        [&](const ResultMsg&) {
           if (warmup_end_ == 0) warmup_end_ = sim_.now();
-          dram_.write_req().push(
-              mem::DramWriteReq{out_base() + res.index, res.values[0]});
-          ctrl_.d().wb_count = c.wb_count + 1;
-          did_work = true;
-          if (c.wb_count + 1 == cells_) {
-            top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Gap);
-          }
-        } else {
-          mreg_->count(s_wb_bp_);
-        }
-      }
-    } else if (c.wb_field > 0) {
-      // Drain the staged result cell, one word per cycle (fields
-      // 1..F-1; field 0 went out on the pop cycle).
-      if (dram_.write_req().can_push()) {
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + c.wb_index * fields_ + c.wb_field,
-                              c.wb_vals[c.wb_field]});
-        mreg_->count(s_wb_drain_);
-        did_work = true;
-        if (c.wb_field + 1 == static_cast<std::uint32_t>(fields_)) {
-          ctrl_.d().wb_field = 0;
-          ctrl_.d().wb_count = c.wb_count + 1;
-          if (c.wb_count + 1 == cells_)
-            top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Gap);
-        } else {
-          ctrl_.d().wb_field = c.wb_field + 1;
-        }
-      } else {
-        mreg_->count(s_wb_bp_);
-      }
-    } else if (st.kernel->out().can_pop()) {
-      if (dram_.write_req().can_push()) {
-        const ResultMsg res = st.kernel->out().pop();
-        if (warmup_end_ == 0) warmup_end_ = sim_.now();
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + res.index * fields_,
-                              res.values[0]});
-        Ctrl& d = ctrl_.d();
-        d.wb_index = res.index;
-        d.wb_vals = res.values;
-        d.wb_field = 1;
-        did_work = true;
-      } else {
-        mreg_->count(s_wb_bp_);
-      }
+        });
+    if (retired) {
+      ctrl_.d().wb_count = c.wb_count + 1;
+      if (c.wb_count + 1 == cells_)
+        top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Gap);
     }
   } else {
     sim::Fifo<CellMsg>& next_in = *stages_[k + 1].input;
@@ -302,7 +196,7 @@ void CascadeTop::eval() {
       if (!c.req_issued) {
         if (dram_.read_req().can_push()) {
           dram_.read_req().push(
-              mem::DramReadReq{in_base(),
+              mem::DramReadReq{region_base(c.pass, words_),
                                static_cast<std::uint32_t>(words_)});
           ctrl_.d().req_issued = true;
           did_work = true;
@@ -318,7 +212,7 @@ void CascadeTop::eval() {
       break;
     }
     case Top::Gap:
-      if (dram_.write_req().empty() && dram_.idle()) {
+      if (fence_passed(dram_)) {
         const Ctrl& c = ctrl_.q();
         Ctrl& d = ctrl_.d();
         d.pass = c.pass + 1;
@@ -331,10 +225,6 @@ void CascadeTop::eval() {
           st.ctrl->d().in_fill = 0;
         }
         top_.go(Top::Run);
-      } else {
-        // Sound lower bound on the first cycle the fence can pass; write
-        // drains also wake us early via the write_req subscription.
-        sleep_for(dram_.min_cycles_to_idle());
       }
       break;
     case Top::Done:

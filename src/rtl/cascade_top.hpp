@@ -42,7 +42,7 @@
 
 namespace smache::rtl {
 
-class CascadeTop : public sim::Module {
+class CascadeTop : public TopModule {
  public:
   /// `depth` = time steps fused per pass; `passes` = number of passes, so
   /// the run computes depth*passes work-instances in total. The plan must
@@ -117,8 +117,6 @@ class CascadeTop : public sim::Module {
     std::array<word_t, kMaxFields> wb_vals{};
   };
 
-  std::uint64_t in_base() const noexcept;
-  std::uint64_t out_base() const noexcept;
   /// Returns true if the stage made observable progress this cycle.
   bool eval_stage(std::size_t k);
 

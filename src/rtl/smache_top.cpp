@@ -67,16 +67,11 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
   SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
                      "DRAM must hold two grid regions (ping-pong)");
   if (fields_ > 1) {
-    const auto stage_bits =
-        static_cast<std::uint32_t>((fields_ - 1) * kWordBits);
-    stage_ = std::make_unique<sim::RegGroup<CellStage>>(
-        sim, CellStage{},
-        std::vector<sim::RegGroup<CellStage>::FieldCharge>{
-            {path + "/ctrl/in_fill", smache::count_bits(fields_)},
-            {path + "/ctrl/in_cell", stage_bits},
-            {path + "/ctrl/wb_field", smache::count_bits(fields_)},
-            {path + "/ctrl/wb_index", smache::count_bits(cells_)},
-            {path + "/ctrl/wb_vals", stage_bits}});
+    std::vector<sim::RegGroup<CellStage>::FieldCharge> charges;
+    append_in_charges(charges, path + "/ctrl", fields_);
+    append_wb_charges(charges, path + "/ctrl", fields_, cells_);
+    stage_ =
+        std::make_unique<sim::RegGroup<CellStage>>(sim, CellStage{}, charges);
   }
   for (std::size_t b = 0; b < plan_.static_buffers().size(); ++b)
     warm_order_.push_back(b);
@@ -121,31 +116,18 @@ void SmacheTop::build_cell_tables() {
 
 bool SmacheTop::done() const noexcept { return top_.is(Top::Done); }
 
-std::uint64_t SmacheTop::in_base() const noexcept {
-  return (ctrl_.q().instance % 2 == 0) ? 0 : words_;
-}
-
-std::uint64_t SmacheTop::out_base() const noexcept {
-  return (ctrl_.q().instance % 2 == 0) ? words_ : 0;
-}
-
 std::uint64_t SmacheTop::output_base() const noexcept {
-  return (steps_ % 2 == 0) ? 0 : words_;
+  return region_base(steps_, words_);
 }
 
 void SmacheTop::eval() {
   if (case_of_cell_.empty()) build_cell_tables();
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().sample(sim_.now(), "smache.top_state",
-                         static_cast<std::uint64_t>(top_.state()));
-    sim_.tracer().sample(sim_.now(), "smache.shifts", ctrl_.q().shifts);
-    sim_.tracer().sample(sim_.now(), "smache.emit_next",
-                         ctrl_.q().emit_next);
-    sim_.tracer().sample(sim_.now(), "smache.wb_count", ctrl_.q().wb_count);
-  }
   switch (top_.state()) {
     case Top::Warmup: eval_warmup(); break;
-    case Top::Run: eval_run(); break;
+    case Top::Run:
+      // The staging registers exist exactly for multi-word cells.
+      stage_ ? eval_run<false>() : eval_run<true>();
+      break;
     case Top::Swap: eval_swap(); break;
     case Top::Done:
       // Terminal: nothing can ever change again.
@@ -171,7 +153,7 @@ void SmacheTop::eval_warmup() {
   if (!c.warm_req) {
     if (dram_.read_req().can_push()) {
       dram_.read_req().push(mem::DramReadReq{
-          in_base() + bank.spec().grid_row * w,
+          region_base(c.instance, words_) + bank.spec().grid_row * w,
           static_cast<std::uint32_t>(w)});
       ctrl_.d().warm_req = true;
     } else {
@@ -211,64 +193,7 @@ void SmacheTop::issue_static_reads(std::uint64_t cell) {
   }
 }
 
-void SmacheTop::emit_tuple(std::uint64_t cell) {
-  const CasePlan& cp = case_plans_[case_of_cell_[cell]];
-
-  // Assemble the (wide) tuple directly in the channel's staging slot; the
-  // consumer reads exactly elems[0..count), which this loop fully writes.
-  // Tap-major layout: tap j's F fields land at elems[j*F .. j*F+F).
-  // Window slots are word bases (slot_of_age scales by F); static reads
-  // were issued cell-wide, so every field bank's rdata is live; constants
-  // and skips replicate across the cell's fields.
-  const std::size_t F = fields_;
-  TupleMsg& msg = kernel_.in().push_slot();
-  msg.index = cell;
-  msg.count = static_cast<std::uint32_t>(cp.ops.size() * F);
-  if (F == 1) {
-    // Single-word cells: per-cell hot loop, kept free of the field loops.
-    for (std::size_t j = 0; j < cp.ops.size(); ++j) {
-      const EmitOp& op = cp.ops[j];
-      switch (op.kind) {
-        case EmitOp::Kind::Window:
-          msg.elems[j] = grid::TupleElem{window_.tap_slot(op.slot), true};
-          break;
-        case EmitOp::Kind::Static:
-          msg.elems[j] = grid::TupleElem{op.bank->rdata(op.replica), true};
-          break;
-        case EmitOp::Kind::Constant:
-          msg.elems[j] = grid::TupleElem{op.constant, true};
-          break;
-        case EmitOp::Kind::Skip:
-          msg.elems[j] = grid::TupleElem{0, false};
-          break;
-      }
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < cp.ops.size(); ++j) {
-    const EmitOp& op = cp.ops[j];
-    grid::TupleElem* e = msg.elems.data() + j * F;
-    switch (op.kind) {
-      case EmitOp::Kind::Window:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{window_.tap_slot(op.slot + f), true};
-        break;
-      case EmitOp::Kind::Static:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{op.bank->rdata(op.replica, f), true};
-        break;
-      case EmitOp::Kind::Constant:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{op.constant, true};
-        break;
-      case EmitOp::Kind::Skip:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{0, false};
-        break;
-    }
-  }
-}
-
+template <bool kSingleField>
 void SmacheTop::eval_run() {
   const Ctrl& c = ctrl_.q();
   const std::uint64_t n = c.shifts;
@@ -279,8 +204,9 @@ void SmacheTop::eval_run() {
   // -- FSM-2a: whole-grid burst request, once per instance --
   if (!c.req_issued) {
     if (dram_.read_req().can_push()) {
-      dram_.read_req().push(
-          mem::DramReadReq{in_base(), static_cast<std::uint32_t>(words_)});
+      dram_.read_req().push(mem::DramReadReq{
+          region_base(c.instance, words_),
+          static_cast<std::uint32_t>(words_)});
       ctrl_.d().req_issued = true;
       did_work = true;
     } else {
@@ -293,7 +219,9 @@ void SmacheTop::eval_run() {
   if (emit_i < cells_ && n >= emit_i + center &&
       c.rdata_center == static_cast<std::int64_t>(emit_i)) {
     if (kernel_.in().can_push()) {
-      emit_tuple(emit_i);
+      fill_tuple<kSingleField>(kernel_.in().push_slot(), emit_i,
+                               case_plans_[case_of_cell_[emit_i]], window_,
+                               fields_);
       ctrl_.d().emit_next = emit_i + 1;
       emitting = true;
       did_work = true;
@@ -314,116 +242,44 @@ void SmacheTop::eval_run() {
     did_work = true;
   }
 
-  // -- FSM-2d: window shift. A shift moves one whole CELL into the
-  // window; for F > 1 the cell's words arrive from DRAM one per cycle and
-  // stage in ctrl.in_cell until the F-th word completes the cell (the
-  // shift fires on that word's arrival cycle). F = 1 degenerates to the
-  // original pop-and-shift-same-cycle datapath, bit- and cycle-exact. --
+  // -- FSM-2d: window shift, one whole CELL per shift (see feed_window);
+  // past the last cell, zero cells flush the window --
   const std::uint64_t emit_eff = emitting ? emit_i + 1 : emit_i;
   const bool more_shifts = n < cells_ - 1 + center;
   const bool window_room = n < emit_eff + center;
   if (more_shifts && window_room) {
-    if (fields_ == 1) {
-      // Single-word cells: the original pop-and-shift-same-cycle datapath.
-      const bool data_ok = n < cells_ ? dram_.read_data().can_pop() : true;
-      if (data_ok) {
-        const word_t in = n < cells_ ? dram_.read_data().pop() : word_t{0};
-        window_.shift_cell(&in);
-        ctrl_.d().shifts = n + 1;
-        did_work = true;
-      } else {
-        mreg_->count(s_dram_wait_);
-      }
-    } else if (n < cells_) {
-      if (dram_.read_data().can_pop()) {
-        const word_t v = dram_.read_data().pop();
-        const CellStage& st = stage_->q();
-        const std::uint32_t fill = st.in_fill;
-        if (fill + 1 == fields_) {
-          word_t cell[kMaxFields];
-          for (std::uint32_t f = 0; f < fill; ++f) cell[f] = st.in_cell[f];
-          cell[fill] = v;
-          window_.shift_cell(cell);
-          ctrl_.d().shifts = n + 1;
-          stage_->d().in_fill = 0;
-        } else {
-          stage_->d().in_cell[fill] = v;
-          stage_->d().in_fill = fill + 1;
-          mreg_->count(s_gather_staging_);
-        }
-        did_work = true;
-      } else {
-        mreg_->count(s_dram_wait_);
-      }
-    } else {
-      // Post-data flush: push zero cells until the window drains.
-      const word_t zero_cell[kMaxFields] = {};
-      window_.shift_cell(zero_cell);
+    if (n >= cells_) {
+      window_.shift_cell(kZeroCell);
       ctrl_.d().shifts = n + 1;
       did_work = true;
+    } else if (feed_window<kSingleField>(dram_, stage_.get(), fields_,
+                                         window_, *mreg_, s_dram_wait_,
+                                         s_gather_staging_, did_work)) {
+      ctrl_.d().shifts = n + 1;
     }
   }
 
-  // -- FSM-3: write-back + shadow capture. The kernel retires one result
-  // CELL per pop; DRAM takes one word per cycle, so F > 1 stages the cell
-  // in ctrl.wb_* and drains fields 1..F-1 on the following cycles (the
-  // capture path stores the whole cell on the pop cycle — on-chip banks
-  // are word-parallel). wb_count counts completed cells. --
-  if (fields_ == 1) {
-    if (kernel_.out().can_pop()) {
-      if (dram_.write_req().can_push()) {
-        const ResultMsg res = kernel_.out().pop();
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + res.index, res.values[0]});
+  // -- FSM-3: write-back + shadow capture. The capture path stores the
+  // whole result cell on its pop cycle (on-chip banks are word-parallel);
+  // wb_count counts completed cells. --
+  const bool retired = write_back_step<kSingleField>(
+      dram_, kernel_.out(), stage_.get(), fields_,
+      region_base(c.instance + 1, words_),
+      WritebackSlots{mreg_, s_wb_bp_, s_wb_drain_}, did_work,
+      [&](const ResultMsg& res) {
         const std::uint32_t row = row_of_cell_[res.index];
-        if (capture_row_[row])
+        if (!capture_row_[row]) return;
+        if constexpr (kSingleField)
           statics_.capture_output(row, col_of_cell_[res.index],
                                   res.values[0]);
-        ctrl_.d().wb_count = c.wb_count + 1;
-        did_work = true;
-        if (c.wb_count + 1 == cells_) {
-          top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
-        }
-      } else {
-        mreg_->count(s_wb_bp_);
-      }
-    }
-  } else if (stage_->q().wb_field > 0) {
-    if (dram_.write_req().can_push()) {
-      const CellStage& st = stage_->q();
-      dram_.write_req().push(mem::DramWriteReq{
-          out_base() + st.wb_index * fields_ + st.wb_field,
-          st.wb_vals[st.wb_field]});
-      mreg_->count(s_wb_drain_);
-      did_work = true;
-      if (st.wb_field + 1 == fields_) {
-        stage_->d().wb_field = 0;
-        ctrl_.d().wb_count = c.wb_count + 1;
-        if (c.wb_count + 1 == cells_) {
-          top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
-        }
-      } else {
-        stage_->d().wb_field = st.wb_field + 1;
-      }
-    } else {
-      mreg_->count(s_wb_bp_);
-    }
-  } else if (kernel_.out().can_pop()) {
-    if (dram_.write_req().can_push()) {
-      const ResultMsg res = kernel_.out().pop();
-      dram_.write_req().push(mem::DramWriteReq{
-          out_base() + res.index * fields_, res.values[0]});
-      const std::uint32_t row = row_of_cell_[res.index];
-      if (capture_row_[row])
-        statics_.capture_output_cell(row, col_of_cell_[res.index],
-                                     res.values.data());
-      stage_->d().wb_index = res.index;
-      stage_->d().wb_vals = res.values;
-      stage_->d().wb_field = 1;
-      did_work = true;
-    } else {
-      mreg_->count(s_wb_bp_);
-    }
+        else
+          statics_.capture_output_cell(row, col_of_cell_[res.index],
+                                       res.values.data());
+      });
+  if (retired) {
+    ctrl_.d().wb_count = c.wb_count + 1;
+    if (c.wb_count + 1 == cells_)
+      top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
   }
 
   // Starved: every blocker above is an external channel condition (data
@@ -436,16 +292,7 @@ void SmacheTop::eval_run() {
 // Instance boundary: drain writes, swap buffers and regions.
 // ---------------------------------------------------------------------------
 void SmacheTop::eval_swap() {
-  // Memory fence: the next instance reads the region we just wrote.
-  if (!dram_.write_req().empty() || !dram_.idle()) {
-    // Exact re-check scheduling: min_cycles_to_idle is a sound lower bound
-    // on the first cycle the fence can pass (same argument as
-    // run_until_done), so sleeping until then never overshoots. Write
-    // drains additionally wake us early through the write_req producer
-    // subscription; the re-check simply goes back to sleep.
-    sleep_for(dram_.min_cycles_to_idle());
-    return;
-  }
+  if (!fence_passed(dram_)) return;
   const Ctrl& c = ctrl_.q();
   statics_.swap_all();
   Ctrl& d = ctrl_.d();

@@ -49,7 +49,7 @@
 
 namespace smache::rtl {
 
-class SmacheTop : public sim::Module {
+class SmacheTop : public TopModule {
  public:
   /// `steps` = number of work-instances. Region 0 of `dram` must hold the
   /// initial grid; after completion the result is in region (steps % 2).
@@ -121,13 +121,13 @@ class SmacheTop : public sim::Module {
       const std::string& path, const model::BufferPlan& plan,
       std::size_t steps, std::size_t cells, std::size_t fields);
 
-  std::uint64_t in_base() const noexcept;
-  std::uint64_t out_base() const noexcept;
   void build_cell_tables();
   void eval_warmup();
+  /// FSM-2 + FSM-3; kSingleField compiles the F = 1 datapath without the
+  /// field loops and the (then absent) staging registers.
+  template <bool kSingleField>
   void eval_run();
   void eval_swap();
-  void emit_tuple(std::uint64_t cell);
   void issue_static_reads(std::uint64_t cell);
 
   const model::BufferPlan plan_;

@@ -119,6 +119,19 @@ TEST(Cascade, PeriodicBoundariesRejected) {
       << "periodic wraps need data that does not exist yet within a pass";
 }
 
+TEST(Cascade, BaselineArchitectureRejected) {
+  const auto p = open_problem(4);
+  const auto init = random_grid(p.height, p.width, 84);
+  const Engine baseline(EngineOptions::baseline());
+  EXPECT_THROW(baseline.run_cascade(p, init, 2), contract_error)
+      << "the per-tap baseline has no cascade to fuse steps with";
+  // Depth 1 fuses nothing: it is the baseline's own per-instance run.
+  const auto flat = baseline.run_cascade(p, init, 1);
+  EXPECT_EQ(flat.arch, Architecture::Baseline);
+  EXPECT_EQ(flat.cycles, baseline.run(p, init).cycles);
+  EXPECT_EQ(flat.output, reference_run(p, init));
+}
+
 TEST(Cascade, IndivisibleStepsRejected) {
   const auto p = open_problem(7);
   const auto init = random_grid(p.height, p.width, 83);

@@ -201,6 +201,11 @@ TEST(FaultInjection, DelayedCompletionsCostCyclesNeverCorrectness) {
       << "a delay holds words, it must not drop or duplicate them";
   EXPECT_EQ(Engine(delayed).run(p, init).cycles, res.cycles);
 
+  // A tiled run totals every tile-run's DRAM counters, delays included.
+  const auto tiled = Engine(delayed).run_tiled(p, init, TilingSpec{2, 2});
+  EXPECT_EQ(tiled.output, expected);
+  EXPECT_GT(tiled.dram.injected_delay_cycles, 0u);
+
   // The baseline architecture survives the same treatment.
   EngineOptions base = EngineOptions::baseline();
   base.dram.delay_every = 5;

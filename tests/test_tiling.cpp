@@ -334,6 +334,19 @@ TEST(TiledEngine, BaselineArchitectureTilesToo) {
       Engine(EngineOptions::baseline()).run_tiled(p, init, tiling);
   EXPECT_EQ(res.output, reference_run(p, init));
   EXPECT_FALSE(res.estimate.has_value());  // baseline has no estimate
+
+  // The baseline has no cascade to fuse steps with: depth > 1 is refused
+  // up front instead of silently running the Smache cascade per tile.
+  p.steps = 4;
+  try {
+    (void)Engine(EngineOptions::baseline())
+        .run_tiled(p, init, TilingSpec{2, 2, 1, 2});
+    ADD_FAILURE() << "baseline tiles must not fuse steps";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("baseline has no cascade"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TiledEngine, TrivialMeshFallsBackToTheUntiledEngine) {
