@@ -177,7 +177,6 @@ RunResult Engine::execute(const ProblemSpec& problem,
 
   RunResult result;
   result.arch = options_.arch;
-  const WallDeadline deadline(options_.wall_timeout_ms);
 
   // Run `top` to completion (unless elaborating only), read the output
   // region back, measure the resources charged under `root` and collect
@@ -187,6 +186,8 @@ RunResult Engine::execute(const ProblemSpec& problem,
     if (initial != nullptr) {
       // Wall-clock watchdog: on expiry, surface the progress made (cycles
       // and DRAM counters at abort) through the exception's partial result.
+      // Armed here, after elaboration, so the budget bounds simulation only.
+      const WallDeadline deadline(options_.wall_timeout_ms);
       try {
         run_to_completion(sim, top, dram, options_.max_cycles, deadline);
       } catch (const wall_expired&) {

@@ -41,13 +41,15 @@ struct EngineOptions {
   /// contract_error — fully deterministic (the trip point is a cycle
   /// count), so a sweep that captures it is bit-reproducible.
   std::uint64_t max_cycles = 200'000'000;
-  /// Opt-in wall-clock watchdog (0 = off): abandon a run whose REAL time
-  /// exceeds this many milliseconds, throwing engine_timeout with the
-  /// partial result. Unlike max_cycles the trip point is inherently
-  /// nondeterministic — batch drivers must treat a tripped run as
-  /// non-reusable (the sweep store never caches one). Each engine
-  /// invocation gets its own deadline, so a tiled scenario bounds every
-  /// tile-pass rather than the whole scenario.
+  /// Opt-in wall-clock watchdog (0 = off): abandon a run whose REAL
+  /// simulation time exceeds this many milliseconds, throwing
+  /// engine_timeout with the partial result. The deadline is armed when
+  /// the simulation starts, so it bounds simulation, not elaboration (DRAM
+  /// allocation, input load, building the top). Unlike max_cycles the trip
+  /// point is inherently nondeterministic — batch drivers must treat a
+  /// tripped run as non-reusable (the sweep store never caches one). Each
+  /// engine invocation gets its own deadline, so a tiled scenario bounds
+  /// every tile-pass rather than the whole scenario.
   std::uint32_t wall_timeout_ms = 0;
   /// Disable activity-gated eval scheduling: every module is evaluated on
   /// every cycle. Results are bit-identical either way (the equivalence

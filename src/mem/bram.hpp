@@ -28,6 +28,7 @@
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "sim/clocked.hpp"
+#include "sim/resources.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::mem {
@@ -44,26 +45,40 @@ class BramBank : public sim::Clocked {
       : depth_(depth), width_bits_(width_bits), mode_(mode),
         store_(depth, 0),
         ctl_{store_.data(), 0, 0, 0, 0, false, false} {
-    SMACHE_REQUIRE(depth >= 1);
-    SMACHE_REQUIRE(width_bits >= 1 && width_bits <= 64);
+    charge(sim.ledger(), path, depth, width_bits, mode);
     sim.register_clocked(this);
     set_bram_commit(&ctl_);
-    const std::uint64_t bits = physical_bits();
-    sim.ledger().add(path, sim::ResKind::BramBits, bits);
-    sim.ledger().add(path, sim::ResKind::BramBlocks,
-                     smache::ceil_div(bits, kM20kBits));
+  }
+
+  /// Synthesis-rounded depth of a `depth`-word bank (see header comment).
+  static std::size_t physical_depth(std::size_t depth, Mode mode) noexcept {
+    const std::size_t with_output_stage = depth + 1;
+    return mode == Mode::Ram
+               ? with_output_stage
+               : static_cast<std::size_t>(
+                     smache::round_up(with_output_stage, 4));
+  }
+
+  /// Charge one bank's rounded bits and M20K blocks under `path` — what
+  /// the constructor charges. Planned banks the simulation models without
+  /// instantiating (the stream buffer's FIFO segments) charge through it.
+  static void charge(sim::ResourceLedger& ledger, std::string_view path,
+                     std::size_t depth, std::uint32_t width_bits,
+                     Mode mode) {
+    SMACHE_REQUIRE(depth >= 1);
+    SMACHE_REQUIRE(width_bits >= 1 && width_bits <= 64);
+    const std::uint64_t bits =
+        static_cast<std::uint64_t>(physical_depth(depth, mode)) * width_bits;
+    ledger.add(path, sim::ResKind::BramBits, bits);
+    ledger.add(path, sim::ResKind::BramBlocks,
+               smache::ceil_div(bits, kM20kBits));
   }
 
   std::size_t depth() const noexcept { return depth_; }
   std::uint32_t width_bits() const noexcept { return width_bits_; }
 
-  /// Synthesis-rounded depth (see header comment).
   std::size_t physical_depth() const noexcept {
-    const std::size_t with_output_stage = depth_ + 1;
-    return mode_ == Mode::Ram
-               ? with_output_stage
-               : static_cast<std::size_t>(
-                     smache::round_up(with_output_stage, 4));
+    return physical_depth(depth_, mode_);
   }
 
   std::uint64_t physical_bits() const noexcept {

@@ -1,35 +1,40 @@
 // The stream (window) buffer with hybrid register/BRAM implementation —
 // the paper's §III "Stream Buffers and Hybrid use of registers and BRAM".
 //
-// Logically this is a delay line of window_len elements; age 1 is the
-// newest element, age window_len the oldest. Physically, positions the
-// gather unit must see in the same cycle (the stencil taps, plus the entry
-// and exit stages) are registers; long runs between taps are BRAM FIFO
-// segments bounded by in/out stage registers:
+// Logically this is a delay line of window_len cells; age 1 is the newest
+// cell, age window_len the oldest. The hardware plan splits it: positions
+// the gather unit must see in the same cycle (the stencil taps, plus the
+// entry and exit stages) are registers, and long runs between taps are
+// BRAM FIFO segments bounded by in/out stage registers:
 //
 //   reg(in_stage) -> BRAM circular buffer (bram_len slots) -> reg(out_stage)
 //
-// The BRAM pointer discipline gives a fixed residence of bram_len shifts
-// per value using one read and one write port per cycle:
+// with out_stage = in_stage + bram_len + 1. The BRAM pointer discipline
+// (one read and one write port per shift, the read issued one shift ahead)
+// gives every value a fixed residence of bram_len + 1 shifts between the
+// two stages — exactly the delay of the ages it replaces. That split is
+// the plan's resource and Verilog view (rtl/verilog_export.cpp emits it,
+// and the ledger is charged for it: window registers, per-field FIFO banks
+// and pointer registers); it changes no tap value in any cycle.
 //
-//   per shift: out_stage.d(bram.rdata());           // read issued last shift
-//              bram.write(ptr, in_stage.q());
-//              bram.read((ptr + 1) % bram_len);     // for the next shift
-//              ptr <- (ptr + 1) % bram_len
+// The simulation therefore runs the delay line the split provably
+// implements: one cell-interleaved ring of (window_len + 1) x F words
+// behind a single committed base pointer. Age a, field f lives at
+// ring[base + (a - 1) * F + f] (wrapped). A shift writes the entering cell
+// into the slot of age window_len + 1 — a slot no tap can read — and moves
+// the base one cell back at the clock edge, so that slot becomes age 1 and
+// every other cell ages by one. One state element per window, whatever the
+// plan's segment count or F.
 //
-// bram_len >= 2 is required so the read and write of one shift never touch
-// the same slot; the planner guarantees >= 3.
-//
-// Case-R (RegisterOnly plans) degenerates to all positions in registers.
+// Case-R (RegisterOnly plans) is the same ring with every age a register.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/word.hpp"
-#include "mem/bram.hpp"
 #include "model/planner.hpp"
 #include "sim/reg.hpp"
 #include "sim/simulator.hpp"
@@ -38,10 +43,9 @@ namespace smache::rtl {
 
 class StreamBuffer {
  public:
-  /// `fields` widens every window position to an F-word cell (interleaved
-  /// in the backing register file and per-field BRAM segment banks); the
-  /// plan's geometry stays in cell-unit ages. F = 1 reproduces the
-  /// original word-per-cell buffer bit-for-bit, ledger included.
+  /// `fields` widens every window position to an F-word cell; the plan's
+  /// geometry stays in cell-unit ages. The ledger is charged for the
+  /// plan's register/BRAM split (F parallel field banks per segment).
   StreamBuffer(sim::Simulator& sim, const std::string& path,
                const model::BufferPlan& plan, std::size_t fields = 1);
 
@@ -60,68 +64,38 @@ class StreamBuffer {
   /// them.
   word_t tap(std::size_t age) const;
 
-  /// WORD slot backing a register-mapped age (the base of the cell's F
-  /// consecutive words; field f lives at slot + f). Gather units that emit
+  /// Ring offset of a register-mapped age's cell. Gather units that emit
   /// the same stencil cases millions of times resolve ages to slots ONCE
   /// (per case, at table-build time) and then read via tap_slot().
   std::size_t slot_of_age(std::size_t age) const {
     SMACHE_REQUIRE_MSG(is_reg_age(age),
                        "slot_of_age on a non-register window position");
-    return age_to_slot_[age] * fields_;
+    return (age - 1) * fields_;
   }
 
-  /// Combinational read by precomputed WORD slot (see slot_of_age).
-  word_t tap_slot(std::size_t slot) const { return regs_->q(slot); }
+  /// Combinational read by precomputed slot (see slot_of_age): the cell's
+  /// F consecutive words, field f at [f].
+  const word_t* tap_slot(std::size_t slot) const {
+    std::size_t i = base_.q().base + slot;
+    if (i >= ring_.size()) i -= ring_.size();
+    return ring_.data() + i;
+  }
 
   /// True if `age` is register-mapped (readable via tap()).
   bool is_reg_age(std::size_t age) const {
-    return age < age_to_slot_.size() && age_to_slot_[age] != kNoSlot;
+    return age < is_reg_.size() && is_reg_[age];
   }
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  struct Segment {
-    std::size_t in_stage_age;
-    std::size_t out_stage_age;
-    std::size_t bram_len;
-    std::size_t in_slot;  // WORD slot of in_stage_age (precomputed)
-    /// One BRAM bank per cell field (width stays within the 64-bit bank
-    /// limit for any F); all banks share one pointer register, like a
-    /// hardware design sharing the address generator across field lanes.
-    std::vector<std::unique_ptr<mem::BramBank>> brams;
-    std::unique_ptr<sim::Reg<std::uint32_t>> ptr;
+  struct State {
+    std::size_t base = 0;  // ring index of age 1's field 0
   };
 
   std::size_t window_len_;
   std::size_t fields_;
-  // Register-mapped ages: age_to_slot_[age] -> slot in regs_, or kNoSlot.
-  // A flat table, not a map — tap() runs once per stencil element per
-  // cycle, squarely in the simulation hot loop.
-  std::vector<std::size_t> age_to_slot_;
-  std::unique_ptr<sim::RegArray<word_t>> regs_;
-  std::vector<std::size_t> reg_ages_;  // slot -> age (sorted ascending)
-  std::vector<Segment> segments_;
-  // For each register slot: where its next value comes from during a shift.
-  enum class Feed : std::uint8_t { Input, PrevReg, Bram };
-  struct FeedSpec {
-    Feed kind = Feed::Input;
-    std::size_t arg = 0;  // PrevReg: source slot; Bram: segment index
-  };
-  std::vector<FeedSpec> feeds_;
-  // Run-compressed view of feeds_: because reg slots are sorted by age and
-  // distinct, every PrevReg feed is exactly next[slot] = q[slot - 1], so
-  // the slots partition into maximal chains, each headed by the shift
-  // input or a BRAM segment output and followed by `len - 1` consecutive
-  // previous-register copies. A shift is then one head write plus one
-  // memcpy per chain (1 + #segments chains) instead of a per-slot switch.
-  struct Chain {
-    std::size_t start = 0;    // first slot of the chain
-    std::size_t len = 0;      // slots in the chain
-    std::size_t segment = 0;  // feeding segment (head != Input)
-    bool from_input = false;  // head is the shift input
-  };
-  std::vector<Chain> chains_;
+  std::vector<bool> is_reg_;  // age -> register-mapped in the plan
+  std::vector<word_t> ring_;
+  sim::RegGroup<State> base_;
 };
 
 }  // namespace smache::rtl

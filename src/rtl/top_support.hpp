@@ -161,12 +161,12 @@ inline std::vector<CasePlan> build_case_plans(const model::BufferPlan& plan,
 }
 
 /// Fill the kernel input tuple of `cell` from its case plan. Tap-major
-/// layout: tap j's F fields land at elems[j*F .. j*F+F). Window slots are
-/// the cell's field-0 register slot with its fields adjacent (see
-/// StreamBuffer::slot_of_age); static reads were issued cell-wide, so every
-/// field bank's rdata is live; constants and skips replicate across the
-/// cell's fields. Written in place in the channel's staging slot: the
-/// consumer reads exactly elems[0..count), all of which is written here.
+/// layout: tap j's F fields land at elems[j*F .. j*F+F). A window slot
+/// reads the tapped cell's F adjacent words (see StreamBuffer::tap_slot);
+/// static reads were issued cell-wide, so every field bank's rdata is
+/// live; constants and skips replicate across the cell's fields. Written
+/// in place in the channel's staging slot: the consumer reads exactly
+/// elems[0..count), all of which is written here.
 template <bool kSingleField>
 inline void fill_tuple(TupleMsg& msg, std::uint64_t cell, const CasePlan& cp,
                        const StreamBuffer& window, std::size_t fields) {
@@ -177,10 +177,12 @@ inline void fill_tuple(TupleMsg& msg, std::uint64_t cell, const CasePlan& cp,
     const EmitOp& op = cp.ops[j];
     grid::TupleElem* e = msg.elems.data() + j * F;
     switch (op.kind) {
-      case EmitOp::Kind::Window:
+      case EmitOp::Kind::Window: {
+        const word_t* c = window.tap_slot(op.slot);
         for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{window.tap_slot(op.slot + f), true};
+          e[f] = grid::TupleElem{c[f], true};
         break;
+      }
       case EmitOp::Kind::Static:
         for (std::size_t f = 0; f < F; ++f)
           e[f] = grid::TupleElem{op.bank->rdata(op.replica, f), true};

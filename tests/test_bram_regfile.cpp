@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "mem/bram.hpp"
 #include "mem/regfile.hpp"
+#include "sim/resources.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::mem {
@@ -88,6 +89,24 @@ TEST(Bram, LedgerChargesPhysicalBitsAndBlocks) {
             1025u * 32);
   EXPECT_EQ(sim.ledger().total(sim::ResKind::BramBlocks, "grp"),
             (1025u * 32 + kM20kBits - 1) / kM20kBits);
+}
+
+TEST(Bram, StaticChargeMatchesConstructedBank) {
+  // Planned banks the simulation does not instantiate charge through the
+  // same rounding rule as a constructed bank.
+  for (const auto mode : {BramBank::Mode::Ram, BramBank::Mode::Fifo}) {
+    for (const std::size_t depth : {std::size_t{7}, std::size_t{1020}}) {
+      sim::Simulator sim;
+      sim::ResourceLedger planned;
+      BramBank b(sim, "grp/bank", depth, 32, mode);
+      BramBank::charge(planned, "grp/bank", depth, 32, mode);
+      EXPECT_EQ(BramBank::physical_depth(depth, mode), b.physical_depth());
+      for (const auto kind :
+           {sim::ResKind::BramBits, sim::ResKind::BramBlocks})
+        EXPECT_EQ(planned.total(kind, "grp/bank"),
+                  sim.ledger().total(kind, "grp/bank"));
+    }
+  }
 }
 
 TEST(RegFile, CombinationalRead) {

@@ -1,7 +1,11 @@
 // Unit tests for the StreamBuffer: the delay-line invariant (every tap age
 // sees the stream delayed by exactly that many shifts), the hybrid
-// register/BRAM equivalence, and stall robustness.
+// register/BRAM equivalence, stall robustness, multi-field cells, the
+// one-state-element commit footprint and the plan's ledger charges.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -121,6 +125,88 @@ TEST(StreamBuffer, ResourceChargesSplitRegAndBram) {
             352u);
   // Two FIFO segments of 7, physically rounded to 8 words each.
   EXPECT_EQ(sim.ledger().total(sim::ResKind::BramBits, "top/stream"), 512u);
+}
+
+TEST(StreamBuffer, MultiFieldHybridDelaysEveryFieldUnderStalls) {
+  constexpr std::size_t F = 3;
+  sim::Simulator sim;
+  const auto plan = make_plan(16, 16, model::StreamImpl::Hybrid);
+  ASSERT_GE(plan.fifo_segments().size(), 2u);
+  StreamBuffer sb(sim, "sb", plan, F);
+  Rng rng(11);
+  // The stream is preceded by all-zero cells (the reset contents).
+  std::vector<word_t> fed;  // F words per shifted cell
+  std::size_t n = 0;
+  while (n < 4 * plan.window_len()) {
+    if (rng.chance(1, 3)) {
+      sim.step();  // stall cycle: no shift
+    } else {
+      word_t cell[F];
+      for (word_t& w : cell) {
+        w = static_cast<word_t>(rng.next_u64());
+        fed.push_back(w);
+      }
+      sb.shift_cell(cell);
+      sim.step();
+      ++n;
+    }
+    for (const std::size_t age : plan.reg_ages()) {
+      const word_t* got = sb.tap_slot(sb.slot_of_age(age));
+      for (std::size_t f = 0; f < F; ++f) {
+        const word_t want = n >= age ? fed[(n - age) * F + f] : 0;
+        ASSERT_EQ(got[f], want) << "n=" << n << " age=" << age << " f=" << f;
+      }
+      ASSERT_EQ(sb.tap(age), got[0]);
+    }
+  }
+}
+
+TEST(StreamBuffer, OneStateElementPerWindow) {
+  // The whole window commits as one element, whatever the plan's segment
+  // count or cell width.
+  for (const auto impl :
+       {model::StreamImpl::RegisterOnly, model::StreamImpl::Hybrid}) {
+    const auto plan = make_plan(16, 16, impl);
+    if (impl == model::StreamImpl::Hybrid) {
+      ASSERT_GE(plan.fifo_segments().size(), 2u);
+    }
+    for (const std::size_t fields : {std::size_t{1}, std::size_t{3}}) {
+      sim::Simulator sim;
+      const std::size_t before = sim.clocked_count();
+      StreamBuffer sb(sim, "sb", plan, fields);
+      EXPECT_EQ(sim.clocked_count(), before + 1)
+          << model::to_string(impl) << " F=" << fields;
+    }
+  }
+}
+
+TEST(StreamBuffer, MultiFieldChargesScalePerSegment) {
+  const auto plan = make_plan(16, 16, model::StreamImpl::Hybrid);
+  ASSERT_GE(plan.fifo_segments().size(), 2u);
+  sim::Simulator one, three;
+  StreamBuffer a(one, "top", plan, 1), b(three, "top", plan, 3);
+  EXPECT_EQ(three.ledger().total(sim::ResKind::RegisterBits,
+                                 "top/stream/window_regs"),
+            3 * one.ledger().total(sim::ResKind::RegisterBits,
+                                   "top/stream/window_regs"));
+  for (std::size_t s = 0; s < plan.fifo_segments().size(); ++s) {
+    const std::string seg = "top/stream/fifo" + std::to_string(s);
+    for (const auto kind :
+         {sim::ResKind::BramBits, sim::ResKind::BramBlocks}) {
+      const std::uint64_t f1 = one.ledger().total(kind, seg);
+      ASSERT_GT(f1, 0u);
+      EXPECT_EQ(three.ledger().total(kind, seg), 3 * f1) << seg;
+      // Field 0 keeps the bare segment path; fields 1 and 2 get their own
+      // banks under /f<k>, each charged like field 0.
+      for (const char* sub : {"/f1", "/f2"})
+        EXPECT_EQ(three.ledger().total(kind, seg + sub), f1) << seg << sub;
+    }
+    // The field banks share one pointer register.
+    EXPECT_EQ(three.ledger().total(sim::ResKind::RegisterBits, seg + "/ptr"),
+              one.ledger().total(sim::ResKind::RegisterBits, seg + "/ptr"));
+    EXPECT_GT(one.ledger().total(sim::ResKind::RegisterBits, seg + "/ptr"),
+              0u);
+  }
 }
 
 TEST(StreamBuffer, WiderThresholdMovesElementsToRegisters) {
