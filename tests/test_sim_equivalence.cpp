@@ -10,7 +10,11 @@
 // — i.e. every scheduling path the overhaul touched.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +26,7 @@
 #include "sweep/emit.hpp"
 #include "sweep/executor.hpp"
 #include "sweep/spec.hpp"
+#include "sweep/store.hpp"
 
 namespace smache {
 namespace {
@@ -289,12 +294,17 @@ void expect_golden(const std::string& name, const std::string& actual) {
   if (actual != golden) std::ofstream(name + ".actual") << actual;
 }
 
-TEST(SimEquivalence, GoldenSweepReport) {
+std::vector<sweep::Scenario> golden_scenarios() {
   std::vector<sweep::Scenario> scenarios;
   for (const sweep::SweepSpec& spec : golden_specs()) {
     spec.validate();
     for (sweep::Scenario& s : spec.expand()) scenarios.push_back(std::move(s));
   }
+  return scenarios;
+}
+
+TEST(SimEquivalence, GoldenSweepReport) {
+  std::vector<sweep::Scenario> scenarios = golden_scenarios();
   ASSERT_GE(scenarios.size(), 30u);
   sweep::ExecutorOptions opts;
   opts.metrics = true;
@@ -307,6 +317,58 @@ TEST(SimEquivalence, GoldenSweepReport) {
   emit.name = "golden-report";
   expect_golden("sweep_report.json", sweep::emit_json(results, emit));
   expect_golden("sweep_report.csv", sweep::emit_csv(results, emit));
+}
+
+// Golden store records: the same scenarios journaled into a fresh
+// ResultStore and compacted (compact() writes records in key order) into
+// one segment. Each framed record is listed as its scenario_key, the
+// FNV-1a of its on-disk frame and its label, so a change to the key fold
+// or to the record encoding — either of which would orphan every existing
+// store segment — shows up as a diff against tests/golden/.
+TEST(SimEquivalence, GoldenStoreRecords) {
+  namespace fs = std::filesystem;
+  const std::string dir = "store_tmp_golden_records";
+  fs::remove_all(dir);
+  {
+    sweep::ResultStore store(dir);
+    sweep::ExecutorOptions opts;
+    opts.verify_reference = true;
+    opts.store = &store;
+    const auto results = sweep::SweepExecutor(opts).run(golden_scenarios());
+    for (const sweep::ScenarioResult& r : results)
+      ASSERT_TRUE(r.ok && !r.from_store) << r.scenario.label << r.error;
+    store.compact();
+  }
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(dir))
+    segments.push_back(entry.path());
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string data = read_file(segments[0].string());
+  fs::remove_all(dir);
+  const std::size_t header = 8 + sizeof(std::uint32_t);
+  ASSERT_GE(data.size(), header);
+  ASSERT_EQ(data.compare(0, 8, sweep::ResultStore::kMagic), 0);
+
+  const auto hex = [](std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+    return std::string(buf);
+  };
+  std::string listing;
+  for (std::size_t pos = header; pos < data.size();) {
+    std::uint32_t len = 0;
+    ASSERT_LE(pos + sizeof len, data.size());
+    std::memcpy(&len, data.data() + pos, sizeof len);
+    const std::size_t framed = sizeof len + len + sizeof(std::uint64_t);
+    ASSERT_LE(pos + framed, data.size());
+    const std::string_view frame(data.data() + pos, framed);
+    const sweep::StoredResult record =
+        sweep::ResultStore::decode(frame.substr(sizeof len, len));
+    listing += hex(record.key) + ' ' + hex(sweep::fnv1a(frame)) + ' ' +
+               record.label + '\n';
+    pos += framed;
+  }
+  expect_golden("store_records.txt", listing);
 }
 
 }  // namespace
