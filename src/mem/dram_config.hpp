@@ -95,6 +95,8 @@ struct DramStats {
     return *this;
   }
 
+  friend bool operator==(const DramStats&, const DramStats&) = default;
+
   std::uint64_t bytes_read() const noexcept { return words_read * 4; }
   std::uint64_t bytes_written() const noexcept { return words_written * 4; }
   std::uint64_t total_bytes() const noexcept {

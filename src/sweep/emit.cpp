@@ -83,19 +83,14 @@ std::string emit_json(const std::vector<ScenarioResult>& results,
         << "\", \"height\": " << s.problem.height
         << ", \"width\": " << s.problem.width
         << ", \"steps\": " << s.problem.steps
-        << ", \"depth\": " << s.depth << ", \"tiles\": \"" << s.tiles.height
-        << 'x' << s.tiles.width;
-    if (s.tiles.depth > 1) out << 'x' << s.tiles.depth;
-    out << "\", \"stencil\": \"" << json_escape(s.stencil)
-        << "\", \"boundary\": \"" << json_escape(s.boundary)
-        << "\", \"kernel\": \"" << json_escape(s.kernel) << "\"";
-    // Multi-field cell layouts and 3D grids are the exception; single-word
-    // cells and single-slice grids stay implicit so every pre-existing
-    // F=1 2D report remains byte-identical. ("depth" above is the cascade
-    // depth; the grid's slice extent emits as "slices".)
-    if (s.problem.kernel.fields() > 1)
-      out << ", \"fields\": " << s.problem.kernel.fields();
-    if (s.problem.depth > 1) out << ", \"slices\": " << s.problem.depth;
+        << ", \"depth\": " << s.depth << ", \"tiles\": \""
+        << to_string(s.tiles) << "\", \"stencil\": \""
+        << json_escape(s.stencil) << "\", \"boundary\": \""
+        << json_escape(s.boundary) << "\", \"kernel\": \""
+        << json_escape(s.kernel) << "\"";
+    for (const ExtensionAxis& axis : kExtensionAxes)
+      if (const std::size_t v = axis.value(s); v > 1)
+        out << ", \"" << axis.name << "\": " << v;
     out << ", \"input\": \""
         << json_escape(s.input) << "\", \"dram\": \"" << json_escape(s.dram)
         << "\", \"seed\": \"" << fmt_hex64(s.seed) << "\", \"ok\": "
@@ -142,15 +137,15 @@ std::string emit_json(const std::vector<ScenarioResult>& results,
 std::string emit_csv(const std::vector<ScenarioResult>& results,
                      const EmitOptions& options) {
   std::ostringstream out;
-  // The fields / slices columns only appear when some scenario actually
-  // uses a multi-word cell layout / a 3D grid, so the pinned header of
-  // every F=1 2D sweep (including all committed reports) is unchanged.
-  bool any_fields = false;
-  bool any_slices = false;
-  for (const ScenarioResult& r : results) {
-    if (r.scenario.problem.kernel.fields() > 1) any_fields = true;
-    if (r.scenario.problem.depth > 1) any_slices = true;
-  }
+  // An extension axis gets a column only when some scenario sets it above
+  // 1, so the header of a sweep that sets none is the pre-axis header.
+  std::vector<const ExtensionAxis*> extensions;
+  for (const ExtensionAxis& axis : kExtensionAxes)
+    for (const ScenarioResult& r : results)
+      if (axis.value(r.scenario) > 1) {
+        extensions.push_back(&axis);
+        break;
+      }
   out << "label,mode,arch,height,width,steps,depth,tiles,stencil,boundary,"
          "kernel,"
          "input,dram,seed,ok,error,cycles,warmup_cycles,read_requests,"
@@ -160,8 +155,7 @@ std::string emit_csv(const std::vector<ScenarioResult>& results,
   if (options.include_wall) out << ",wall_ms";
   if (options.include_store_hit) out << ",store_hit";
   if (options.include_metrics) out << ",metrics";
-  if (any_fields) out << ",fields";
-  if (any_slices) out << ",slices";
+  for (const ExtensionAxis* axis : extensions) out << ',' << axis->name;
   out << '\n';
   for (const ScenarioResult& r : results) {
     const Scenario& s = r.scenario;
@@ -172,11 +166,7 @@ std::string emit_csv(const std::vector<ScenarioResult>& results,
         << to_string(s.engine.arch) << ',' << s.problem.height << ','
         << s.problem.width << ',' << s.problem.steps << ',' << s.depth
         << ','
-        << csv_quote(std::to_string(s.tiles.height) + 'x' +
-                     std::to_string(s.tiles.width) +
-                     (s.tiles.depth > 1
-                          ? 'x' + std::to_string(s.tiles.depth)
-                          : std::string()))
+        << csv_quote(to_string(s.tiles))
         << ',' << csv_quote(s.stencil) << ',' << csv_quote(s.boundary)
         << ',' << csv_quote(s.kernel) << ',' << csv_quote(s.input) << ','
         << csv_quote(s.dram) << ',' << fmt_hex64(s.seed) << ','
@@ -207,8 +197,7 @@ std::string emit_csv(const std::vector<ScenarioResult>& results,
       }
       out << ',' << csv_quote(cell);
     }
-    if (any_fields) out << ',' << s.problem.kernel.fields();
-    if (any_slices) out << ',' << s.problem.depth;
+    for (const ExtensionAxis* axis : extensions) out << ',' << axis->value(s);
     out << '\n';
   }
   return out.str();

@@ -1,12 +1,12 @@
 #include "sweep/executor.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/fnv.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "sweep/faults.hpp"
@@ -16,26 +16,6 @@
 namespace smache::sweep {
 
 namespace {
-
-/// Fold one value's bytes into an FNV-1a accumulator.
-template <typename T>
-void mix(std::uint64_t& h, const T& value) noexcept {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  for (const unsigned char b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-}
-
-void mix_str(std::uint64_t& h, std::string_view s) noexcept {
-  mix(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-}
 
 void run_one(const Scenario& scenario, const ExecutorOptions& options,
              ScenarioResult& out) {
@@ -50,27 +30,18 @@ void run_one(const Scenario& scenario, const ExecutorOptions& options,
           make_input(scenario.input, scenario.problem.height,
                      scenario.problem.width, scenario.problem.depth,
                      scenario.seed);
-      // Depth 1 is the per-instance SmacheTop/BaselineTop engine; depth > 1
-      // fuses that many time steps per DRAM pass through CascadeTop; a
-      // non-trivial tile mesh routes through run_tiled (which folds the
-      // depth into each tile's sub-cascade). The reference run below is
-      // depth- and tiling-independent (same problem.steps), so
-      // verification holds across fused passes and tile meshes.
-      if (scenario.tiles.height > 1 || scenario.tiles.width > 1 ||
-          scenario.tiles.depth > 1) {
-        TilingSpec tiling;
-        tiling.tiles_r = scenario.tiles.height;
-        tiling.tiles_c = scenario.tiles.width;
-        tiling.tiles_s = scenario.tiles.depth;
-        tiling.threads = options.tile_threads;
-        tiling.depth = scenario.depth;
-        out.run = engine.run_tiled(scenario.problem, init, tiling);
-      } else {
-        out.run = scenario.depth > 1
-                      ? engine.run_cascade(scenario.problem, init,
-                                           scenario.depth)
-                      : engine.run(scenario.problem, init);
-      }
+      // run_tiled runs a 1x1x1 mesh as the per-instance engine at depth 1
+      // and as the cascade above it, and folds the depth into each tile's
+      // sub-cascade otherwise. The reference run below is depth- and
+      // tiling-independent (same problem.steps), so verification holds
+      // across fused passes and tile meshes.
+      TilingSpec tiling;
+      tiling.tiles_r = scenario.tiles.height;
+      tiling.tiles_c = scenario.tiles.width;
+      tiling.tiles_s = scenario.tiles.depth;
+      tiling.threads = options.tile_threads;
+      tiling.depth = scenario.depth;
+      out.run = engine.run_tiled(scenario.problem, init, tiling);
       out.output_hash = hash_grid(*out.run.output);
       if (options.verify_reference) {
         const grid::Grid<word_t> golden =
@@ -191,24 +162,12 @@ void put_with_retry(ResultStore& store, const StoredResult& record,
 }  // namespace
 
 std::uint64_t hash_grid(const grid::Grid<word_t>& g) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::uint64_t v) noexcept {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  // Shape first: a 2x8 and an 8x2 grid with the same word sequence must
-  // not collide (the word fold alone cannot tell them apart). The cell
-  // layout and the slice axis fold the same way — an F=2 grid and an F=1
-  // grid of doubled width carry identical word sequences, as do 8x8x2 and
-  // 8x16x1 — but only for F > 1 / D > 1, so every single-field 2D hash
-  // (committed reports, store records) is unchanged.
-  fold(g.height());
-  fold(g.width());
-  if (g.depth() > 1) fold(g.depth());
-  if (g.fields() > 1) fold(g.fields());
-  for (std::size_t i = 0; i < g.size(); ++i)
-    fold(static_cast<std::uint64_t>(g[i]));
-  return h;
+  Fnv1a h;
+  h.word(g.height()).word(g.width());
+  if (g.depth() > 1) h.word(g.depth());
+  if (g.fields() > 1) h.word(g.fields());
+  for (std::size_t i = 0; i < g.size(); ++i) h.word(g[i]);
+  return h.value();
 }
 
 std::vector<ScenarioResult> SweepExecutor::run(const SweepSpec& spec) const {
@@ -299,8 +258,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
     if (options_.metrics) scenario.engine.profile = true;
     // Trace export is per-simulator; a tiled scenario fans out over many,
     // so it gets no trace rather than a misleading partial one.
-    if (options_.trace && scenario.tiles.height == 1 &&
-        scenario.tiles.width == 1 && scenario.tiles.depth == 1)
+    if (options_.trace && !scenario.tiles.split())
       scenario.engine.trace = true;
     run_one(scenario, options_, out);
     note_progress(out);
@@ -322,50 +280,49 @@ std::vector<ScenarioResult> SweepExecutor::run(
 
 std::uint64_t SweepExecutor::digest(
     const std::vector<ScenarioResult>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  mix(h, results.size());
+  Fnv1a h;
+  h.scalar(results.size());
   for (const auto& r : results) {
-    mix_str(h, r.scenario.label);
-    mix(h, r.scenario.seed);
-    mix(h, r.scenario.depth);
-    mix(h, r.scenario.tiles.height);
-    mix(h, r.scenario.tiles.width);
-    // Cell layout and slice axis: folded only for F > 1 / D > 1 so
-    // single-field 2D digests (every sweep that existed before those axes)
-    // are byte-identical.
-    if (r.scenario.problem.kernel.fields() > 1)
-      mix(h, r.scenario.problem.kernel.fields());
-    if (r.scenario.problem.depth > 1) mix(h, r.scenario.problem.depth);
-    if (r.scenario.tiles.depth > 1) mix(h, r.scenario.tiles.depth);
-    mix(h, r.ok);
-    mix_str(h, r.error);
-    mix(h, r.run.cycles);
-    mix(h, r.run.warmup_cycles);
-    mix(h, r.run.dram.read_requests);
-    mix(h, r.run.dram.words_read);
-    mix(h, r.run.dram.words_written);
-    mix(h, r.run.dram.row_hits);
-    mix(h, r.run.dram.row_misses);
-    mix(h, r.run.dram.injected_stall_cycles);
-    mix(h, r.run.dram.injected_delay_cycles);
-    mix(h, r.run.dram.read_busy_cycles);
-    mix(h, r.run.timed_out);
-    mix(h, r.output_hash);
-    mix(h, r.reference_checked);
-    mix(h, r.reference_match);
-    mix(h, r.run.resources.r_total);
-    mix(h, r.run.resources.b_total);
-    mix(h, r.run.resources.r_static);
-    mix(h, r.run.resources.b_static);
-    mix(h, r.run.resources.r_stream);
-    mix(h, r.run.resources.b_stream);
-    mix(h, r.run.resources.m20k_blocks);
-    mix(h, r.run.timing.fmax_mhz);
-    mix(h, r.run.ops);
-    mix(h, r.run.exec_time_us);
-    mix(h, r.run.mops);
+    h.str(r.scenario.label)
+        .scalar(r.scenario.seed)
+        .scalar(r.scenario.depth)
+        .scalar(r.scenario.tiles.height)
+        .scalar(r.scenario.tiles.width);
+    for (const ExtensionAxis& axis : kExtensionAxes)
+      if (const std::size_t v = axis.value(r.scenario); v > 1) h.scalar(v);
+    // Not a kExtensionAxes row: the digest has folded the slice-tile count
+    // here since that axis existed, while store keys carry it only inside
+    // the label and reports only inside the tiles cell.
+    if (r.scenario.tiles.depth > 1) h.scalar(r.scenario.tiles.depth);
+    h.scalar(r.ok)
+        .str(r.error)
+        .scalar(r.run.cycles)
+        .scalar(r.run.warmup_cycles)
+        .scalar(r.run.dram.read_requests)
+        .scalar(r.run.dram.words_read)
+        .scalar(r.run.dram.words_written)
+        .scalar(r.run.dram.row_hits)
+        .scalar(r.run.dram.row_misses)
+        .scalar(r.run.dram.injected_stall_cycles)
+        .scalar(r.run.dram.injected_delay_cycles)
+        .scalar(r.run.dram.read_busy_cycles)
+        .scalar(r.run.timed_out)
+        .scalar(r.output_hash)
+        .scalar(r.reference_checked)
+        .scalar(r.reference_match)
+        .scalar(r.run.resources.r_total)
+        .scalar(r.run.resources.b_total)
+        .scalar(r.run.resources.r_static)
+        .scalar(r.run.resources.b_static)
+        .scalar(r.run.resources.r_stream)
+        .scalar(r.run.resources.b_stream)
+        .scalar(r.run.resources.m20k_blocks)
+        .scalar(r.run.timing.fmax_mhz)
+        .scalar(r.run.ops)
+        .scalar(r.run.exec_time_us)
+        .scalar(r.run.mops);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace smache::sweep

@@ -153,9 +153,15 @@ class SweepExecutor {
   ExecutorOptions options_;
 };
 
-/// FNV-1a over a grid's shape AND words: transposed grids with the same
-/// word sequence hash differently (this hash is the planned memoization
-/// key for the sweep-as-a-service cache, so shape must participate).
+/// FNV-1a (Fnv1a::word, one 64-bit value per step) over a grid's height
+/// and width, then its slice count D and field count F where > 1, then its
+/// words. The height/width folds keep transposed grids with the same word
+/// sequence apart. D and F fold untagged, so shapes that differ only in
+/// which of them is 2 collide: Grid(8, 8, 2, {1}, 7) and Grid(8, 8, {2}, 7)
+/// both hash to 0x1cca33c729d5303b. The ambiguity is kept because tagging
+/// the folds would move every pinned D > 1 or F > 1 output hash, and no
+/// report compares outputs across shapes (labels and store keys separate
+/// them). A memoization key built on this hash must tag each fold.
 std::uint64_t hash_grid(const grid::Grid<word_t>& g) noexcept;
 
 }  // namespace smache::sweep

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/assert.hpp"
+#include "common/fnv.hpp"
 #include "sweep/workloads.hpp"
 
 namespace smache::sweep {
@@ -12,13 +13,11 @@ const char* to_string(Mode mode) noexcept {
   return mode == Mode::Simulate ? "sim" : "elab";
 }
 
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+std::string to_string(const GridDim& dim) {
+  std::string s =
+      std::to_string(dim.height) + 'x' + std::to_string(dim.width);
+  if (dim.depth > 1) s += 'x' + std::to_string(dim.depth);
+  return s;
 }
 
 namespace {
@@ -90,17 +89,11 @@ Scenario SweepSpec::scenario_at(std::size_t index) const {
   // reach, padded extent vs. stencil span) stay per-scenario runtime
   // errors. A slice-axis tile count over a 2D grid is caught here too
   // (tiles 1x1x2 over 16x16 is 2 tiles over 1 slice).
-  const auto dim_tag = [](const GridDim& g) {
-    std::string s =
-        std::to_string(g.height) + 'x' + std::to_string(g.width);
-    if (g.depth > 1) s += 'x' + std::to_string(g.depth);
-    return s;
-  };
   SMACHE_REQUIRE_MSG(tiles_raw.height <= grid.height &&
                          tiles_raw.width <= grid.width &&
                          tiles_raw.depth <= grid.depth,
-                     "tiles=" + dim_tag(tiles_raw) +
-                         " exceeds the grid extent " + dim_tag(grid));
+                     "tiles=" + to_string(tiles_raw) +
+                         " exceeds the grid extent " + to_string(grid));
   // Checked on the RAW pairing, before aliasing: a spec that pairs an
   // indivisible steps/depth combination is malformed even where the depth
   // would be ignored — "reject loudly" beats "run something else".
@@ -174,12 +167,8 @@ Scenario SweepSpec::scenario_at(std::size_t index) const {
   if (depth > 1) s.label += "/d" + std::to_string(depth);
   // 1x1 is the untiled engine, labelled exactly as before the dimension
   // existed (and collapsed by expand() wherever tiling is aliased away).
-  // Depth-1 grids and meshes omit the xD segment, so every 2D label — and
-  // with it every store scenario_key — is byte-identical to before the
-  // slice axis existed.
-  if (tile_mesh.height > 1 || tile_mesh.width > 1 || tile_mesh.depth > 1)
-    s.label += "/t" + dim_tag(tile_mesh);
-  s.label += '/' + dim_tag(grid);
+  if (tile_mesh.split()) s.label += "/t" + to_string(tile_mesh);
+  s.label += '/' + to_string(grid);
   if (mode == Mode::Simulate) s.label += '/' + dram_name;
   s.label += "/s" + std::to_string(step_count);
   s.label += '/' + stencil_name;
@@ -195,17 +184,17 @@ Scenario SweepSpec::scenario_at(std::size_t index) const {
   // seeded stencil family materialises from its own name alone, so e.g. a
   // threshold ablation over random8 sweeps ONE shape, not eight.
   const std::string workload_key =
-      dim_tag(grid) + "/s" + std::to_string(step_count) + '/' +
+      to_string(grid) + "/s" + std::to_string(step_count) + '/' +
       stencil_name + '/' + boundary_name + '/' + kernel_name + '/' +
       input_name;
-  s.seed = mix_seed(base_seed, fnv1a(workload_key));
+  s.seed = mix_seed(base_seed, Fnv1a().bytes(workload_key).value());
 
   s.problem.height = grid.height;
   s.problem.width = grid.width;
   s.problem.depth = grid.depth;
-  s.problem.shape =
-      make_stencil(stencil_name,
-                   mix_seed(base_seed, fnv1a("stencil/" + stencil_name)));
+  s.problem.shape = make_stencil(
+      stencil_name,
+      mix_seed(base_seed, Fnv1a().bytes("stencil/" + stencil_name).value()));
   s.problem.bc = make_boundary(boundary_name);
   s.problem.kernel = kernel.spec;
   s.problem.steps = step_count;

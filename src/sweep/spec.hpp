@@ -30,8 +30,16 @@ struct GridDim {
   std::size_t height = 0;
   std::size_t width = 0;
   std::size_t depth = 1;
+  /// As a tile mesh: more than one tile, i.e. not the untiled engine.
+  bool split() const noexcept { return height > 1 || width > 1 || depth > 1; }
   friend bool operator==(const GridDim&, const GridDim&) = default;
 };
+
+/// The one `HxW` / `HxWxD` token (labels, seed keys, spec files, report
+/// tile cells). Depth-1 dims omit the xD segment, so every 2D token — and
+/// with it every 2D label, seed and store key — reads as it did before the
+/// slice axis existed. parse_grid accepts both forms.
+std::string to_string(const GridDim& dim);
 
 /// One fully-resolved point of the scenario space, ready to run.
 struct Scenario {
@@ -57,11 +65,35 @@ struct Scenario {
   /// baseline architecture and for elaborate-only mode (neither has a
   /// cascade), so sweeping depths never duplicates those configurations.
   std::size_t depth = 1;
-  /// Spatial tiling mesh (height = tile rows, width = tile cols). 1x1 is
-  /// the untiled engine; anything else routes through Engine::run_tiled.
+  /// Spatial tiling mesh (height = tile rows, width = tile cols, depth =
+  /// slice tiles), run through Engine::run_tiled; 1x1 is the untiled
+  /// engine (run_tiled runs it as run / run_cascade).
   /// Aliased to 1x1 for elaborate-only mode (no cycles to parallelise);
   /// output grids are bit-identical across tilings by construction.
   GridDim tiles{1, 1};
+};
+
+/// An axis added to the scenario space after reports and store segments
+/// existed. Every scenario encoding — the sweep digest, the store key, the
+/// JSON row, the CSV columns — carries an extension axis only where its
+/// value is > 1, so the value 1 encodes exactly as before the axis existed.
+struct ExtensionAxis {
+  const char* name;  // JSON key and CSV column
+  std::size_t (*value)(const Scenario&);
+};
+
+/// In canonical order: encoders fold and emit the axes in table order, so
+/// adding an axis is one row appended here (reordering rows would move the
+/// digest, key and report of every scenario that sets both).
+inline constexpr ExtensionAxis kExtensionAxes[] = {
+    // Words per cell (F, the kernel's cell layout).
+    {"fields",
+     [](const Scenario& s) -> std::size_t {
+       return s.problem.kernel.fields();
+     }},
+    // Grid slices (D; "depth" in reports is the cascade depth).
+    {"slices",
+     [](const Scenario& s) -> std::size_t { return s.problem.depth; }},
 };
 
 struct SweepSpec {
@@ -121,9 +153,6 @@ struct SweepSpec {
   /// invalid, or any scenario's problem fails ProblemSpec::validate().
   void validate() const;
 };
-
-/// FNV-1a over a byte string (label hashing for per-scenario seeds).
-std::uint64_t fnv1a(std::string_view bytes) noexcept;
 
 // ---- strict spec parsing (the smache-sweep CLI and its tests) ----
 // All parsers throw contract_error with a descriptive message on malformed

@@ -250,14 +250,7 @@ std::string emit_spec_json(const SweepSpec& spec) {
                       [](model::StreamImpl i) { return impl_token(i); })
       << ",\n";
   out << "  \"thresholds\": " << count_array(spec.thresholds) << ",\n";
-  // Depth-1 grids/meshes emit the 2D HxW token, so every spec saved before
-  // the slice axis existed round-trips byte-exactly; parse_grid accepts
-  // both forms.
-  const auto grid_token = [](const GridDim& g) {
-    std::string s = std::to_string(g.height) + 'x' + std::to_string(g.width);
-    if (g.depth > 1) s += 'x' + std::to_string(g.depth);
-    return s;
-  };
+  const auto grid_token = [](const GridDim& g) { return to_string(g); };
   out << "  \"grids\": " << string_array(spec.grids, grid_token) << ",\n";
   out << "  \"drams\": "
       << string_array(spec.drams, [](const std::string& s) { return s; })

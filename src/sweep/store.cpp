@@ -7,6 +7,7 @@
 #include <fstream>
 #include <type_traits>
 
+#include "common/fnv.hpp"
 #include "common/log.hpp"
 
 namespace smache::sweep {
@@ -15,20 +16,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 /// Upper bound on one record's payload: a record is a label + an error
 /// string + ~30 scalars, so anything near this is corruption, not data.
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data,
-                        std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
+std::uint64_t checksum(std::string_view payload) noexcept {
+  return Fnv1a().bytes(payload).value();
 }
 
 // ---- fixed binary encoding (host byte order — a store directory is a
@@ -45,6 +38,22 @@ void put_scalar(std::string& out, T v) {
 void put_string(std::string& out, std::string_view s) {
   put_scalar(out, static_cast<std::uint32_t>(s.size()));
   out.append(s.data(), s.size());
+}
+
+/// The record's fields in on-disk order: the one list encode() and
+/// decode() walk. Strings are u32-length-prefixed, bools one byte, every
+/// other field its object bytes. Any change here changes the record bytes
+/// and needs a kFormatVersion bump.
+template <typename Record, typename Fn>
+void for_each_field(Record& r, Fn&& fn) {
+  const auto each = [&fn](auto&... field) { (fn(field), ...); };
+  each(r.key, r.label, r.ok, r.error, r.cycles, r.warmup_cycles,
+       r.dram.read_requests, r.dram.words_read, r.dram.words_written,
+       r.dram.row_hits, r.dram.row_misses, r.dram.injected_stall_cycles,
+       r.dram.injected_delay_cycles, r.dram.read_busy_cycles, r.output_hash,
+       r.reference_checked, r.reference_match, r.r_total, r.b_total,
+       r.r_static, r.b_static, r.r_stream, r.b_stream, r.m20k_blocks,
+       r.fmax_mhz, r.ops, r.exec_time_us, r.mops);
 }
 
 /// Bounds-checked sequential reader over one payload; every underflow is a
@@ -179,94 +188,33 @@ FileIo& real_file_io() {
 
 // ---- encoding -------------------------------------------------------------
 
-bool operator==(const StoredResult& a, const StoredResult& b) {
-  return a.key == b.key && a.label == b.label && a.ok == b.ok &&
-         a.error == b.error && a.cycles == b.cycles &&
-         a.warmup_cycles == b.warmup_cycles &&
-         a.dram.read_requests == b.dram.read_requests &&
-         a.dram.words_read == b.dram.words_read &&
-         a.dram.words_written == b.dram.words_written &&
-         a.dram.row_hits == b.dram.row_hits &&
-         a.dram.row_misses == b.dram.row_misses &&
-         a.dram.injected_stall_cycles == b.dram.injected_stall_cycles &&
-         a.dram.injected_delay_cycles == b.dram.injected_delay_cycles &&
-         a.dram.read_busy_cycles == b.dram.read_busy_cycles &&
-         a.output_hash == b.output_hash &&
-         a.reference_checked == b.reference_checked &&
-         a.reference_match == b.reference_match &&
-         a.r_total == b.r_total && a.b_total == b.b_total &&
-         a.r_static == b.r_static && a.b_static == b.b_static &&
-         a.r_stream == b.r_stream && a.b_stream == b.b_stream &&
-         a.m20k_blocks == b.m20k_blocks && a.fmax_mhz == b.fmax_mhz &&
-         a.ops == b.ops && a.exec_time_us == b.exec_time_us &&
-         a.mops == b.mops;
-}
-
 std::string ResultStore::encode(const StoredResult& r) {
   std::string out;
   out.reserve(128 + r.label.size() + r.error.size());
-  put_scalar(out, r.key);
-  put_string(out, r.label);
-  put_scalar(out, static_cast<std::uint8_t>(r.ok));
-  put_string(out, r.error);
-  put_scalar(out, r.cycles);
-  put_scalar(out, r.warmup_cycles);
-  put_scalar(out, r.dram.read_requests);
-  put_scalar(out, r.dram.words_read);
-  put_scalar(out, r.dram.words_written);
-  put_scalar(out, r.dram.row_hits);
-  put_scalar(out, r.dram.row_misses);
-  put_scalar(out, r.dram.injected_stall_cycles);
-  put_scalar(out, r.dram.injected_delay_cycles);
-  put_scalar(out, r.dram.read_busy_cycles);
-  put_scalar(out, r.output_hash);
-  put_scalar(out, static_cast<std::uint8_t>(r.reference_checked));
-  put_scalar(out, static_cast<std::uint8_t>(r.reference_match));
-  put_scalar(out, r.r_total);
-  put_scalar(out, r.b_total);
-  put_scalar(out, r.r_static);
-  put_scalar(out, r.b_static);
-  put_scalar(out, r.r_stream);
-  put_scalar(out, r.b_stream);
-  put_scalar(out, r.m20k_blocks);
-  put_scalar(out, r.fmax_mhz);
-  put_scalar(out, r.ops);
-  put_scalar(out, r.exec_time_us);
-  put_scalar(out, r.mops);
+  for_each_field(r, [&out](const auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, std::string>)
+      put_string(out, field);
+    else if constexpr (std::is_same_v<T, bool>)
+      put_scalar(out, static_cast<std::uint8_t>(field));
+    else
+      put_scalar(out, field);
+  });
   return out;
 }
 
 StoredResult ResultStore::decode(std::string_view payload) {
   Reader in(payload);
   StoredResult r;
-  r.key = in.get<std::uint64_t>();
-  r.label = in.get_string();
-  r.ok = in.get<std::uint8_t>() != 0;
-  r.error = in.get_string();
-  r.cycles = in.get<std::uint64_t>();
-  r.warmup_cycles = in.get<std::uint64_t>();
-  r.dram.read_requests = in.get<std::uint64_t>();
-  r.dram.words_read = in.get<std::uint64_t>();
-  r.dram.words_written = in.get<std::uint64_t>();
-  r.dram.row_hits = in.get<std::uint64_t>();
-  r.dram.row_misses = in.get<std::uint64_t>();
-  r.dram.injected_stall_cycles = in.get<std::uint64_t>();
-  r.dram.injected_delay_cycles = in.get<std::uint64_t>();
-  r.dram.read_busy_cycles = in.get<std::uint64_t>();
-  r.output_hash = in.get<std::uint64_t>();
-  r.reference_checked = in.get<std::uint8_t>() != 0;
-  r.reference_match = in.get<std::uint8_t>() != 0;
-  r.r_total = in.get<std::uint64_t>();
-  r.b_total = in.get<std::uint64_t>();
-  r.r_static = in.get<std::uint64_t>();
-  r.b_static = in.get<std::uint64_t>();
-  r.r_stream = in.get<std::uint64_t>();
-  r.b_stream = in.get<std::uint64_t>();
-  r.m20k_blocks = in.get<std::uint64_t>();
-  r.fmax_mhz = in.get<double>();
-  r.ops = in.get<std::uint64_t>();
-  r.exec_time_us = in.get<double>();
-  r.mops = in.get<double>();
+  for_each_field(r, [&in](auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, std::string>)
+      field = in.get_string();
+    else if constexpr (std::is_same_v<T, bool>)
+      field = in.get<std::uint8_t>() != 0;
+    else
+      field = in.get<T>();
+  });
   if (!in.exhausted())
     throw store_io_error("store record payload has trailing bytes");
   return r;
@@ -278,40 +226,25 @@ std::string ResultStore::frame(const StoredResult& record) {
   out.reserve(payload.size() + 12);
   put_scalar(out, static_cast<std::uint32_t>(payload.size()));
   out += payload;
-  put_scalar(out, fnv_bytes(kFnvOffset, payload.data(), payload.size()));
+  put_scalar(out, checksum(payload));
   return out;
 }
 
 std::uint64_t ResultStore::scenario_key(const Scenario& scenario,
                                         bool verify_reference) {
-  std::uint64_t h = kFnvOffset;
-  const std::uint32_t version = kFormatVersion;
-  h = fnv_bytes(h, &version, sizeof version);
-  h = fnv_bytes(h, scenario.label.data(), scenario.label.size());
-  const char sep = '\0';
-  h = fnv_bytes(h, &sep, 1);
-  h = fnv_bytes(h, &scenario.seed, sizeof scenario.seed);
-  h = fnv_bytes(h, &scenario.engine.max_cycles,
-                sizeof scenario.engine.max_cycles);
-  const std::uint8_t verify = verify_reference ? 1 : 0;
-  h = fnv_bytes(h, &verify, 1);
-  // Cell layout, folded only for F > 1: the kernel name inside the label
-  // already separates layouts, but an explicit fold keeps the key honest if
-  // a future kernel family ever parameterises its field count — while every
-  // single-field key (all pre-multi-field store segments) stays identical.
-  if (scenario.problem.kernel.fields() > 1) {
-    const std::uint64_t fields = scenario.problem.kernel.fields();
-    h = fnv_bytes(h, &fields, sizeof fields);
-  }
-  // Slice axis, same contract: the label's xD grid segment already
-  // separates 3D scenarios, the explicit fold is belt-and-braces — and
-  // folding only for D > 1 keeps every 2D key (all pre-3D store segments)
-  // byte-identical.
-  if (scenario.problem.depth > 1) {
-    const std::uint64_t slices = scenario.problem.depth;
-    h = fnv_bytes(h, &slices, sizeof slices);
-  }
-  return h;
+  Fnv1a h;
+  h.scalar(kFormatVersion)
+      .bytes(scenario.label)
+      .scalar('\0')
+      .scalar(scenario.seed)
+      .scalar(scenario.engine.max_cycles)
+      .scalar(static_cast<std::uint8_t>(verify_reference));
+  // The label already separates every extension axis's values (kernel name
+  // for the cell layout, the xD grid segment for slices); the explicit fold
+  // keeps the key honest should an axis ever change outside the label.
+  for (const ExtensionAxis& axis : kExtensionAxes)
+    if (const std::uint64_t v = axis.value(scenario); v > 1) h.scalar(v);
+  return h.value();
 }
 
 // ---- ResultStore ----------------------------------------------------------
@@ -378,11 +311,10 @@ void ResultStore::load_segment(const std::string& path) {
         data.size() - pos - sizeof len < len + sizeof(std::uint64_t))
       break;  // implausible length or torn payload/checksum
     const std::string_view payload(data.data() + pos + sizeof len, len);
-    std::uint64_t checksum = 0;
-    std::memcpy(&checksum, data.data() + pos + sizeof len + len,
-                sizeof checksum);
-    if (fnv_bytes(kFnvOffset, payload.data(), payload.size()) != checksum)
-      break;
+    std::uint64_t stored_sum = 0;
+    std::memcpy(&stored_sum, data.data() + pos + sizeof len + len,
+                sizeof stored_sum);
+    if (checksum(payload) != stored_sum) break;
     StoredResult record;
     try {
       record = decode(payload);
@@ -391,7 +323,7 @@ void ResultStore::load_segment(const std::string& path) {
     }
     index_[record.key] = std::move(record);  // last writer wins
     ++loaded;
-    pos += sizeof len + len + sizeof checksum;
+    pos += sizeof len + len + sizeof stored_sum;
   }
   if (pos < data.size()) {
     ++dropped_;

@@ -5,15 +5,19 @@
 // already present and executes only the delta.
 //
 // Keying. A record is addressed by scenario_key(): an FNV-1a fold of the
-// scenario's canonical label (which encodes mode, architecture, stream
-// impl, threshold, grid, DRAM family, steps, depth, tile mesh, stencil,
-// boundary, kernel and input family), its workload-derived seed, the
-// engine's max_cycles watchdog, and whether golden-reference verification
-// was on — everything that determines the deterministic result, and
-// nothing that does not (thread counts, wall clocks). The key deliberately
-// does NOT include the code version: a store directory is tied to a build
-// of this repo, and kFormatVersion must be bumped whenever result
-// semantics change (stale stores are then ignored wholesale, never
+// format version, the scenario's canonical label (which encodes mode,
+// architecture, stream impl, threshold, grid, DRAM family, steps, depth,
+// tile mesh, stencil, boundary, kernel and input family), its
+// workload-derived seed, the engine's max_cycles watchdog, whether
+// golden-reference verification was on, and then each extension axis
+// (kExtensionAxes in sweep/spec.hpp: fields, slices) whose value is > 1 —
+// everything that determines the deterministic result, and nothing that
+// does not (thread counts, wall clocks). Axes at 1 fold nothing, so a key
+// computed before an axis existed still addresses its record;
+// SimEquivalence.GoldenStoreRecords pins key values and record bytes. The
+// key deliberately does NOT include the code version: a store directory is
+// tied to a build of this repo, and kFormatVersion must be bumped whenever
+// result semantics change (stale stores are then ignored wholesale, never
 // half-trusted).
 //
 // Durability model. The store is an append-only journal of length-prefixed
@@ -134,7 +138,7 @@ struct StoredResult {
   double exec_time_us = 0.0;
   double mops = 0.0;
 
-  friend bool operator==(const StoredResult&, const StoredResult&);
+  friend bool operator==(const StoredResult&, const StoredResult&) = default;
 };
 
 class ResultStore {

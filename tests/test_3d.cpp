@@ -323,6 +323,11 @@ TEST(Sweep3D, SpecioRoundTrips3DGridsAndTiles) {
   EXPECT_EQ(back.grids, spec.grids);
   EXPECT_EQ(back.tiles, spec.tiles);
   EXPECT_EQ(sweep::emit_spec_json(back), json);
+  // The shared token round-trips through the parser on its own too.
+  using sweep::GridDim;
+  for (const GridDim g : {GridDim{11, 7}, GridDim{16, 16, 8}, GridDim{1, 1}})
+    EXPECT_EQ(sweep::parse_grid(sweep::to_string(g)), g)
+        << sweep::to_string(g);
 }
 
 TEST(Sweep3D, WarmStoreServes2DSegmentAnd3DPointsAppend) {

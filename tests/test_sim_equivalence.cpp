@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "support/test_grids.hpp"
@@ -364,8 +365,8 @@ TEST(SimEquivalence, GoldenStoreRecords) {
     const std::string_view frame(data.data() + pos, framed);
     const sweep::StoredResult record =
         sweep::ResultStore::decode(frame.substr(sizeof len, len));
-    listing += hex(record.key) + ' ' + hex(sweep::fnv1a(frame)) + ' ' +
-               record.label + '\n';
+    listing += hex(record.key) + ' ' + hex(Fnv1a().bytes(frame).value()) +
+               ' ' + record.label + '\n';
     pos += framed;
   }
   expect_golden("store_records.txt", listing);

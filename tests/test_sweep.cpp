@@ -806,6 +806,87 @@ TEST(SweepEmit, ReportsCarryTheTilesColumn) {
   EXPECT_NE(csv.find(",2x2,", header_end), std::string::npos);
 }
 
+// Every extension axis moves only its own encodings: with the scenario's
+// identity (label, seed, registry names) held fixed, raising one axis from
+// 1 to 2 must change the store key and the digest, add exactly
+// `"name": 2` to the JSON row and one `name` column valued 2 to the CSV,
+// and move nothing else. The raised scenario borrows its problem and
+// engine from a pool scenario that sets that axis (and no other) to 2, so
+// a new kExtensionAxes row is covered by this loop once the pool reaches
+// it; the donor assertion names any axis the pool misses.
+TEST(SweepEmit, ExtensionAxesMoveOnlyTheirOwnEncodings) {
+  const auto scenario = [](GridDim grid, const char* stencil,
+                           const char* kernel, const char* input) {
+    SweepSpec s;
+    s.grids = {grid};
+    s.steps = {2};
+    s.stencils = {stencil};
+    s.boundaries = {"open"};
+    s.kernels = {kernel};
+    s.inputs = {input};
+    return s.scenario_at(0);
+  };
+  const Scenario base = scenario({8, 8}, "star5", "jacobi", "jacobi-init");
+  const std::vector<Scenario> pool = {
+      scenario({8, 8}, "star5", "hotspot", "hotspot-chip"),
+      scenario({8, 8, 2}, "star5", "jacobi", "jacobi-init"),
+  };
+  const auto only_raised = [](const Scenario& s, const ExtensionAxis* raised) {
+    for (const ExtensionAxis& axis : kExtensionAxes)
+      if (axis.value(s) != (&axis == raised ? 2u : 1u)) return false;
+    return true;
+  };
+  ASSERT_TRUE(only_raised(base, nullptr));
+
+  const auto report = [](const Scenario& s) {
+    ScenarioResult r;
+    r.scenario = s;
+    r.ok = true;
+    r.run.cycles = 1234;
+    r.output_hash = 0x5eed;
+    return std::vector<ScenarioResult>{r};
+  };
+  const auto line_at = [](const std::string& text, std::size_t from) {
+    return text.substr(from, text.find('\n', from) - from);
+  };
+  const auto json_row = [&](const Scenario& s) {
+    const std::string json = emit_json(report(s));
+    return line_at(json, json.find("{\"label\""));
+  };
+  const auto csv_lines = [&](const Scenario& s) {
+    const std::string csv = emit_csv(report(s));
+    return std::make_pair(line_at(csv, 0), line_at(csv, csv.find('\n') + 1));
+  };
+
+  for (const ExtensionAxis& axis : kExtensionAxes) {
+    SCOPED_TRACE(axis.name);
+    const auto donor =
+        std::find_if(pool.begin(), pool.end(), [&](const Scenario& s) {
+          return only_raised(s, &axis);
+        });
+    ASSERT_NE(donor, pool.end()) << "no pool scenario raises only this axis";
+    Scenario raised = base;
+    raised.problem = donor->problem;
+    raised.engine = donor->engine;
+    ASSERT_TRUE(only_raised(raised, &axis));
+
+    EXPECT_NE(ResultStore::scenario_key(raised, false),
+              ResultStore::scenario_key(base, false));
+    EXPECT_NE(SweepExecutor::digest(report(raised)),
+              SweepExecutor::digest(report(base)));
+
+    std::string want = json_row(base);
+    want.insert(want.find(", \"input\": "),
+                ", \"" + std::string(axis.name) + "\": 2");
+    EXPECT_EQ(json_row(raised), want);
+
+    const auto [base_header, base_row] = csv_lines(base);
+    const auto [header, row] = csv_lines(raised);
+    EXPECT_EQ(header, base_header + ',' + axis.name);
+    EXPECT_EQ(row, base_row + ",2");
+  }
+}
+
 TEST(HashGrid, TransposedShapesHashDifferently) {
   // hash_grid folds the shape as well as the words: a 2x8 and an 8x2 grid
   // with the same word sequence are different grids and must not collide.
