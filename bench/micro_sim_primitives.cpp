@@ -10,6 +10,7 @@
 #include "rtl/stream_buffer.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
+#include "sweep/workloads.hpp"
 
 namespace {
 
@@ -104,5 +105,30 @@ void BM_EngineCyclesPerSecond(benchmark::State& state) {
   state.SetLabel("items = simulated cycles");
 }
 BENCHMARK(BM_EngineCyclesPerSecond);
+
+void BM_ReferenceRun(benchmark::State& state) {
+  // The golden oracle alone, one step per iteration on a 256x256 grid:
+  // Arg(0) = moore9 average on island (F = 1), Arg(1) = star5 fdtd on
+  // mirror (F = 3).
+  const bool fdtd = state.range(0) == 1;
+  smache::ProblemSpec p;
+  p.height = 256;
+  p.width = 256;
+  p.shape = smache::sweep::make_stencil(fdtd ? "star5" : "moore9");
+  p.bc = smache::sweep::make_boundary(fdtd ? "mirror" : "island");
+  p.kernel = smache::sweep::make_kernel(fdtd ? "fdtd" : "average");
+  p.steps = 1;
+  const auto init = smache::sweep::make_input(
+      fdtd ? "fdtd-cavity" : "random", p.height, p.width, 1, 7);
+  for (auto _ : state) {
+    const auto out = smache::reference_run(p, init);
+    benchmark::DoNotOptimize(out.data().data());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * p.cells() * p.steps));
+  state.SetLabel(fdtd ? "items = cell-steps, 256^2 star5 fdtd mirror F=3"
+                      : "items = cell-steps, 256^2 moore9 island F=1");
+}
+BENCHMARK(BM_ReferenceRun)->Arg(0)->Arg(1);
 
 }  // namespace

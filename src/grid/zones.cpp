@@ -6,13 +6,17 @@
 
 namespace smache::grid {
 
+AxisReach::AxisReach(std::int64_t min_offset,
+                     std::int64_t max_offset) noexcept
+    : lo(static_cast<std::size_t>(std::max<std::int64_t>(0, -min_offset))),
+      hi(static_cast<std::size_t>(std::max<std::int64_t>(0, max_offset))) {}
+
 AxisZones::AxisZones(std::size_t extent, std::int64_t min_offset,
                      std::int64_t max_offset)
-    : extent_(extent),
-      lo_span_(static_cast<std::size_t>(std::max<std::int64_t>(
-          0, -min_offset))),
-      hi_span_(static_cast<std::size_t>(std::max<std::int64_t>(
-          0, max_offset))) {
+    : extent_(extent) {
+  const AxisReach reach(min_offset, max_offset);
+  lo_span_ = reach.lo;
+  hi_span_ = reach.hi;
   SMACHE_REQUIRE_MSG(lo_span_ + hi_span_ < extent,
                      "axis too short for the stencil's reach: zones overlap");
 }

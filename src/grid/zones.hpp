@@ -21,12 +21,30 @@
 
 namespace smache::grid {
 
+/// A stencil's reach on one axis: the `lo` coordinates next to the low
+/// edge (max(0, -min_offset)) and the `hi` next to the high edge
+/// (max(0, max_offset)) have a tap that falls off the axis. Every other
+/// coordinate is interior: all its taps land inside the axis, so no
+/// boundary condition applies to it.
+struct AxisReach {
+  AxisReach(std::int64_t min_offset, std::int64_t max_offset) noexcept;
+
+  /// True if every tap of coordinate x lands inside an axis of `extent`.
+  /// Total: an axis shorter than the reach simply has no interior.
+  bool interior(std::size_t x, std::size_t extent) const noexcept {
+    return x >= lo && x + hi < extent;
+  }
+
+  std::size_t lo;
+  std::size_t hi;
+};
+
 /// Zone classification for one axis.
 class AxisZones {
  public:
-  /// `lo_span` = number of individual zones hugging the low edge
-  /// (= max(0, -min_offset)); `hi_span` likewise for the high edge
-  /// (= max(0, max_offset)); `extent` = axis length.
+  /// `lo_span` = number of individual zones hugging the low edge and
+  /// `hi_span` likewise for the high edge (the AxisReach of the offsets);
+  /// `extent` = axis length. The Mid zone is exactly the reach's interior.
   AxisZones(std::size_t extent, std::int64_t min_offset,
             std::int64_t max_offset);
 

@@ -75,62 +75,31 @@ void run_one(const Scenario& scenario, const ExecutorOptions& options,
                     .count();
 }
 
-/// ScenarioResult -> store record: exactly the deterministic fields that
-/// participate in digest() and report emission.
-StoredResult to_stored(const ScenarioResult& r, std::uint64_t key) {
-  StoredResult s;
-  s.key = key;
-  s.label = r.scenario.label;
-  s.ok = r.ok;
-  s.error = r.error;
-  s.cycles = r.run.cycles;
-  s.warmup_cycles = r.run.warmup_cycles;
-  s.dram = r.run.dram;
-  s.output_hash = r.output_hash;
-  s.reference_checked = r.reference_checked;
-  s.reference_match = r.reference_match;
-  s.r_total = r.run.resources.r_total;
-  s.b_total = r.run.resources.b_total;
-  s.r_static = r.run.resources.r_static;
-  s.b_static = r.run.resources.b_static;
-  s.r_stream = r.run.resources.r_stream;
-  s.b_stream = r.run.resources.b_stream;
-  s.m20k_blocks = r.run.resources.m20k_blocks;
-  s.fmax_mhz = r.run.timing.fmax_mhz;
-  s.ops = r.run.ops;
-  s.exec_time_us = r.run.exec_time_us;
-  s.mops = r.run.mops;
-  return s;
-}
-
-/// Store record -> ScenarioResult, byte-identical to the executed original
-/// in every deterministic report field (wall_ms is 0 — it is never part of
-/// reports — and from_store marks the provenance).
-void from_stored(const Scenario& scenario, const StoredResult& s,
-                 ScenarioResult& out) {
-  out.scenario = scenario;
-  out.ok = s.ok;
-  out.error = s.error;
-  out.run.arch = scenario.engine.arch;
-  out.run.cycles = s.cycles;
-  out.run.warmup_cycles = s.warmup_cycles;
-  out.run.dram = s.dram;
-  out.output_hash = s.output_hash;
-  out.reference_checked = s.reference_checked;
-  out.reference_match = s.reference_match;
-  out.run.resources.r_total = s.r_total;
-  out.run.resources.b_total = s.b_total;
-  out.run.resources.r_static = s.r_static;
-  out.run.resources.b_static = s.b_static;
-  out.run.resources.r_stream = s.r_stream;
-  out.run.resources.b_stream = s.b_stream;
-  out.run.resources.m20k_blocks = s.m20k_blocks;
-  out.run.timing.fmax_mhz = s.fmax_mhz;
-  out.run.ops = s.ops;
-  out.run.exec_time_us = s.exec_time_us;
-  out.run.mops = s.mops;
-  out.from_store = true;
-  out.wall_ms = 0.0;
+/// The one ScenarioResult <-> StoredResult field mapping: fn(result field,
+/// record field) for every result field a record stores. The record's key
+/// and label identify the scenario rather than its outcome, so to_record
+/// sets them alone.
+template <typename Result, typename Record, typename Fn>
+void for_each_mapped_field(Result& r, Record& s, Fn&& fn) {
+  fn(r.ok, s.ok);
+  fn(r.error, s.error);
+  fn(r.run.cycles, s.cycles);
+  fn(r.run.warmup_cycles, s.warmup_cycles);
+  fn(r.run.dram, s.dram);
+  fn(r.output_hash, s.output_hash);
+  fn(r.reference_checked, s.reference_checked);
+  fn(r.reference_match, s.reference_match);
+  fn(r.run.resources.r_total, s.r_total);
+  fn(r.run.resources.b_total, s.b_total);
+  fn(r.run.resources.r_static, s.r_static);
+  fn(r.run.resources.b_static, s.b_static);
+  fn(r.run.resources.r_stream, s.r_stream);
+  fn(r.run.resources.b_stream, s.b_stream);
+  fn(r.run.resources.m20k_blocks, s.m20k_blocks);
+  fn(r.run.timing.fmax_mhz, s.fmax_mhz);
+  fn(r.run.ops, s.ops);
+  fn(r.run.exec_time_us, s.exec_time_us);
+  fn(r.run.mops, s.mops);
 }
 
 /// Persist one record with bounded exponential backoff. Exhaustion is
@@ -160,6 +129,23 @@ void put_with_retry(ResultStore& store, const StoredResult& record,
 }
 
 }  // namespace
+
+StoredResult to_record(const ScenarioResult& r, std::uint64_t key) {
+  StoredResult s;
+  s.key = key;
+  s.label = r.scenario.label;
+  for_each_mapped_field(r, s, [](const auto& from, auto& to) { to = from; });
+  return s;
+}
+
+void from_record(const Scenario& scenario, const StoredResult& s,
+                 ScenarioResult& out) {
+  out.scenario = scenario;
+  out.run.arch = scenario.engine.arch;
+  for_each_mapped_field(out, s, [](auto& to, const auto& from) { to = from; });
+  out.from_store = true;
+  out.wall_ms = 0.0;
+}
 
 std::uint64_t hash_grid(const grid::Grid<word_t>& g) noexcept {
   Fnv1a h;
@@ -200,7 +186,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
           scenarios[i], options_.verify_reference);
       StoredResult hit;
       if (options_.store->find(key, &hit))
-        from_stored(scenarios[i], hit, results[i]);
+        from_record(scenarios[i], hit, results[i]);
       else
         pending.push_back(i);
     }
@@ -268,7 +254,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
     // on machine load, so caching one would poison every later report.
     if (options_.store != nullptr && !out.run.timed_out) {
       put_with_retry(*options_.store,
-                     to_stored(out, ResultStore::scenario_key(
+                     to_record(out, ResultStore::scenario_key(
                                         scenarios[i],
                                         options_.verify_reference)),
                      options_.store_retry_attempts,

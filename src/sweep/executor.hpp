@@ -19,6 +19,7 @@ namespace smache::sweep {
 
 class ResultStore;
 struct FaultPlan;
+struct StoredResult;
 
 /// Progress snapshot handed to ExecutorOptions::progress — once after the
 /// store-hit prefill, then after every scenario finishes. Wall-clock
@@ -152,6 +153,17 @@ class SweepExecutor {
  private:
   ExecutorOptions options_;
 };
+
+/// ScenarioResult -> store record keyed `key`: exactly the deterministic
+/// fields that participate in digest() and report emission.
+StoredResult to_record(const ScenarioResult& r, std::uint64_t key);
+
+/// Store record -> ScenarioResult, byte-identical to the executed original
+/// in every deterministic report field (wall_ms is 0 — it is never part of
+/// reports — and from_store marks the provenance). to_record and
+/// from_record walk one field mapping, so each inverts the other.
+void from_record(const Scenario& scenario, const StoredResult& s,
+                 ScenarioResult& out);
 
 /// FNV-1a (Fnv1a::word, one 64-bit value per step) over a grid's height
 /// and width, then its slice count D and field count F where > 1, then its

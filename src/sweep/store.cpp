@@ -40,22 +40,6 @@ void put_string(std::string& out, std::string_view s) {
   out.append(s.data(), s.size());
 }
 
-/// The record's fields in on-disk order: the one list encode() and
-/// decode() walk. Strings are u32-length-prefixed, bools one byte, every
-/// other field its object bytes. Any change here changes the record bytes
-/// and needs a kFormatVersion bump.
-template <typename Record, typename Fn>
-void for_each_field(Record& r, Fn&& fn) {
-  const auto each = [&fn](auto&... field) { (fn(field), ...); };
-  each(r.key, r.label, r.ok, r.error, r.cycles, r.warmup_cycles,
-       r.dram.read_requests, r.dram.words_read, r.dram.words_written,
-       r.dram.row_hits, r.dram.row_misses, r.dram.injected_stall_cycles,
-       r.dram.injected_delay_cycles, r.dram.read_busy_cycles, r.output_hash,
-       r.reference_checked, r.reference_match, r.r_total, r.b_total,
-       r.r_static, r.b_static, r.r_stream, r.b_stream, r.m20k_blocks,
-       r.fmax_mhz, r.ops, r.exec_time_us, r.mops);
-}
-
 /// Bounds-checked sequential reader over one payload; every underflow is a
 /// store_io_error (the caller treats the record as corrupt).
 class Reader {
@@ -191,7 +175,7 @@ FileIo& real_file_io() {
 std::string ResultStore::encode(const StoredResult& r) {
   std::string out;
   out.reserve(128 + r.label.size() + r.error.size());
-  for_each_field(r, [&out](const auto& field) {
+  for_each_stored_field(r, [&out](const auto& field) {
     using T = std::decay_t<decltype(field)>;
     if constexpr (std::is_same_v<T, std::string>)
       put_string(out, field);
@@ -206,7 +190,7 @@ std::string ResultStore::encode(const StoredResult& r) {
 StoredResult ResultStore::decode(std::string_view payload) {
   Reader in(payload);
   StoredResult r;
-  for_each_field(r, [&in](auto& field) {
+  for_each_stored_field(r, [&in](auto& field) {
     using T = std::decay_t<decltype(field)>;
     if constexpr (std::is_same_v<T, std::string>)
       field = in.get_string();

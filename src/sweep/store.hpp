@@ -141,6 +141,22 @@ struct StoredResult {
   friend bool operator==(const StoredResult&, const StoredResult&) = default;
 };
 
+/// The record's fields in on-disk order: the one list ResultStore's
+/// encode() and decode() walk. Strings are u32-length-prefixed, bools one
+/// byte, every other field its object bytes. Any change here changes the
+/// record bytes and needs a kFormatVersion bump.
+template <typename Record, typename Fn>
+void for_each_stored_field(Record& r, Fn&& fn) {
+  const auto each = [&fn](auto&... field) { (fn(field), ...); };
+  each(r.key, r.label, r.ok, r.error, r.cycles, r.warmup_cycles,
+       r.dram.read_requests, r.dram.words_read, r.dram.words_written,
+       r.dram.row_hits, r.dram.row_misses, r.dram.injected_stall_cycles,
+       r.dram.injected_delay_cycles, r.dram.read_busy_cycles, r.output_hash,
+       r.reference_checked, r.reference_match, r.r_total, r.b_total,
+       r.r_static, r.b_static, r.r_stream, r.b_stream, r.m20k_blocks,
+       r.fmax_mhz, r.ops, r.exec_time_us, r.mops);
+}
+
 class ResultStore {
  public:
   /// Record/segment format version; bump on ANY semantic change to results

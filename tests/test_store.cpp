@@ -15,10 +15,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "sweep/executor.hpp"
 #include "sweep/faults.hpp"
 #include "sweep/spec.hpp"
 #include "sweep/store.hpp"
@@ -116,6 +119,29 @@ TEST(StoreEncoding, RejectsTruncatedAndOversizedPayloads) {
                      std::string_view(payload).substr(0, cut)),
                  store_io_error);
   EXPECT_THROW((void)ResultStore::decode(payload + "x"), store_io_error);
+}
+
+TEST(StoreEncoding, ResultMappingRoundTripsEveryField) {
+  // Every stored field gets its own non-default value, walked from the
+  // on-disk field list itself, so a field the ScenarioResult mapping
+  // misses comes back as its default and fails the comparison.
+  StoredResult rec;
+  std::uint64_t next = 1;
+  for_each_stored_field(rec, [&next](auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, std::string>)
+      field = "field" + std::to_string(next++);
+    else if constexpr (std::is_same_v<T, bool>)
+      field = true;
+    else
+      field = static_cast<T>(next++);
+  });
+  Scenario scenario;
+  scenario.label = rec.label;
+  ScenarioResult result;
+  from_record(scenario, rec, result);
+  EXPECT_TRUE(result.from_store);
+  EXPECT_EQ(to_record(result, rec.key), rec);
 }
 
 // ---- journal persistence -------------------------------------------------
