@@ -19,11 +19,13 @@
 //                  physical depth = round_up(depth + 1, 4):
 //                  7 -> 8, 1020 -> 1024.
 // Both rules are documented substitutions for real synthesis (DESIGN.md §2).
+//
+// The bank commits through the RAM commit shape (sim::RamPort), which owns
+// the array, the port registers and the read-before-write clock edge.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
@@ -36,18 +38,15 @@ namespace smache::mem {
 /// Bits per M20K block on Stratix-V-class devices.
 inline constexpr std::uint64_t kM20kBits = 20480;
 
-class BramBank : public sim::Clocked {
+class BramBank : public sim::RamPort {
  public:
   enum class Mode { Ram, Fifo };
 
   BramBank(sim::Simulator& sim, std::string_view path, std::size_t depth,
            std::uint32_t width_bits, Mode mode)
-      : depth_(depth), width_bits_(width_bits), mode_(mode),
-        store_(depth, 0),
-        ctl_{store_.data(), 0, 0, 0, 0, false, false} {
+      : RamPort(depth), depth_(depth), width_bits_(width_bits), mode_(mode) {
     charge(sim.ledger(), path, depth, width_bits, mode);
     sim.register_clocked(this);
-    set_bram_commit(&ctl_);
   }
 
   /// Synthesis-rounded depth of a `depth`-word bank (see header comment).
@@ -88,25 +87,23 @@ class BramBank : public sim::Clocked {
   /// Issue a synchronous read; rdata() returns the value next cycle.
   void read(std::size_t addr) {
     SMACHE_REQUIRE(addr < depth_);
-    SMACHE_REQUIRE_MSG(!ctl_.read_pending,
-                       "two reads in one cycle on 1R port");
-    ctl_.read_addr = addr;
-    ctl_.read_pending = true;
+    SMACHE_REQUIRE_MSG(!read_pending_, "two reads in one cycle on 1R port");
+    read_addr_ = addr;
+    read_pending_ = true;
     mark_dirty();
   }
 
   /// Registered read data from the most recent read(). Holds its value
   /// until the next read completes.
-  std::uint64_t rdata() const noexcept { return ctl_.rdata; }
+  std::uint64_t rdata() const noexcept { return rdata_; }
 
   /// Issue a write, applied at the clock edge.
   void write(std::size_t addr, std::uint64_t value) {
     SMACHE_REQUIRE(addr < depth_);
-    SMACHE_REQUIRE_MSG(!ctl_.write_pending,
-                       "two writes in one cycle on 1W port");
-    ctl_.write_addr = addr;
-    ctl_.write_value = value & mask();
-    ctl_.write_pending = true;
+    SMACHE_REQUIRE_MSG(!write_pending_, "two writes in one cycle on 1W port");
+    write_addr_ = addr;
+    write_value_ = value & mask();
+    write_pending_ = true;
     mark_dirty();
   }
 
@@ -121,21 +118,6 @@ class BramBank : public sim::Clocked {
     store_[addr] = value & mask();
   }
 
-  void commit() override {
-    // Read samples the array before this cycle's write lands:
-    // read-before-write semantics. Normally executed inline by the commit
-    // loop via the registered BramCommitCtl; kept equivalent here for
-    // direct callers.
-    if (ctl_.read_pending) {
-      ctl_.rdata = store_[ctl_.read_addr];
-      ctl_.read_pending = false;
-    }
-    if (ctl_.write_pending) {
-      store_[ctl_.write_addr] = ctl_.write_value;
-      ctl_.write_pending = false;
-    }
-  }
-
  private:
   std::uint64_t mask() const noexcept {
     return width_bits_ >= 64 ? ~std::uint64_t{0}
@@ -145,8 +127,6 @@ class BramBank : public sim::Clocked {
   std::size_t depth_;
   std::uint32_t width_bits_;
   Mode mode_;
-  std::vector<std::uint64_t> store_;
-  BramCommitCtl ctl_;
 };
 
 }  // namespace smache::mem

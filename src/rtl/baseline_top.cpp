@@ -29,7 +29,7 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
               // is byte-identical to the original. F > 1 appends the
               // write-back staging a multi-word drain holds.
               const std::size_t f = kernel_spec.fields();
-              std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
+              std::vector<sim::RegCharge> charges = {
                   {path + "/ctrl/instance", smache::count_bits(steps)},
                   {path + "/ctrl/req_cell", smache::count_bits(cells_)},
                   {path + "/ctrl/req_elem", smache::count_bits(shape.size())},

@@ -21,7 +21,7 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
             [&] {
               // F = 1 keeps the original charge list byte-identical; F > 1
               // appends the write-back staging a multi-word drain holds.
-              std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
+              std::vector<sim::RegCharge> charges = {
                   {path + "/ctrl/pass", smache::count_bits(passes)},
                   {path + "/ctrl/req_issued", 1},
                   {path + "/ctrl/wb_count", smache::count_bits(cells_)}};
@@ -63,7 +63,7 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
         sim, "kernel/" + stage_id, kernel_spec, plan.shape().size(),
         cells_);
     {
-      std::vector<sim::RegGroup<StageCtrl>::FieldCharge> scharges = {
+      std::vector<sim::RegCharge> scharges = {
           {path + "/ctrl/" + stage_id + "/shifts",
            smache::count_bits(cells_ + plan.window_len())},
           {path + "/ctrl/" + stage_id + "/emit_next",

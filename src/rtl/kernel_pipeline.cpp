@@ -3,6 +3,31 @@
 #include "common/assert.hpp"
 
 namespace smache::rtl {
+namespace {
+
+/// One register charge per stage. Stage 0 still holds the tuple-wide
+/// partial state; later stages carry a narrowing payload down to one cell
+/// (F words, plus the wide partial accumulator in stage 1). F = 1 keeps
+/// the original per-stage widths bit-for-bit.
+std::vector<sim::RegCharge> stage_charges(const std::string& path,
+                                          std::size_t tuple_size,
+                                          std::size_t fields,
+                                          std::size_t grid_cells,
+                                          std::uint32_t latency) {
+  const std::uint32_t idx_bits = smache::count_bits(grid_cells);
+  const auto f32 = static_cast<std::uint32_t>(fields);
+  std::vector<sim::RegCharge> charges;
+  for (std::uint32_t s = 0; s < latency; ++s) {
+    const std::uint32_t payload_bits =
+        s == 0 ? static_cast<std::uint32_t>(tuple_size * fields * 33)
+               : (s == 1 ? 64u * f32 : 32u * f32);
+    charges.push_back({path + "/stage" + std::to_string(s),
+                       payload_bits + idx_bits + 1});
+  }
+  return charges;
+}
+
+}  // namespace
 
 KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
                                KernelSpec spec, std::size_t tuple_size,
@@ -17,27 +42,15 @@ KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
       out_(sim, path + "/out", 2,
            static_cast<std::uint32_t>(32 * spec.fields()) +
                smache::count_bits(grid_cells)),
-      pipe_(sim, latency),
+      pipe_(sim, latency, Stage{},
+            stage_charges(path, tuple_size, spec.fields(), grid_cells,
+                          latency)),
       mreg_(&sim.metrics()),
       s_out_bp_(mreg_->slot(path, "/stall/out_backpressure",
                             obs::MetricKind::Counter)) {
   SMACHE_REQUIRE(latency >= 1);
   set_obs_name(path);
   SMACHE_REQUIRE(tuple_size >= 1 && tuple_size * fields_ <= kMaxTuple);
-  const std::uint32_t idx_bits = smache::count_bits(grid_cells);
-  const auto f32 = static_cast<std::uint32_t>(fields_);
-  for (std::uint32_t s = 0; s < latency; ++s) {
-    // Stage 0 still holds the tuple-wide partial state; later stages carry
-    // a narrowing payload down to one cell (F words, plus the wide partial
-    // accumulator in stage 1). Charged per stage exactly like the discrete
-    // stage registers the StagePipe replaces; F = 1 keeps the original
-    // widths bit-for-bit.
-    const std::uint32_t payload_bits =
-        s == 0 ? static_cast<std::uint32_t>(tuple_size * fields_ * 33)
-               : (s == 1 ? 64u * f32 : 32u * f32);
-    sim.ledger().add(path + "/stage" + std::to_string(s),
-                     sim::ResKind::RegisterBits, payload_bits + idx_bits + 1);
-  }
   // Activity gating: a push committing on `in` is the only event that can
   // end emptiness; a pop committing on `out` is the only event that can end
   // a full-output freeze.
@@ -82,7 +95,7 @@ void KernelPipeline::eval() {
   }
 
   // Whole-pipe shift, scheduled as one write and committed as one copy.
-  Stage* next = pipe_.next_all();
+  Stage* next = pipe_.d();
   for (std::size_t s = latency_; s-- > 1;) next[s] = pipe_.q(s - 1);
 
   // Head stage: accept a new tuple if available; the arithmetic result is

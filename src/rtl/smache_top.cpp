@@ -5,7 +5,7 @@
 
 namespace smache::rtl {
 
-std::vector<sim::RegGroup<SmacheTop::Ctrl>::FieldCharge>
+std::vector<sim::RegCharge>
 SmacheTop::ctrl_charges(const std::string& path,
                         const model::BufferPlan& plan, std::size_t steps,
                         std::size_t cells, std::size_t fields) {
@@ -14,7 +14,7 @@ SmacheTop::ctrl_charges(const std::string& path,
   // row's word count. The gather/write-back staging registers F > 1 also
   // needs live in their own state element (CellStage, constructed right
   // after ctrl_) so the F = 1 commit stays the original width.
-  std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
+  std::vector<sim::RegCharge> charges = {
       {path + "/ctrl/instance", smache::count_bits(steps)},
       {path + "/ctrl/shifts", smache::count_bits(cells + plan.window_len())},
       {path + "/ctrl/emit_next", smache::count_bits(cells)},
@@ -67,7 +67,7 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
   SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
                      "DRAM must hold two grid regions (ping-pong)");
   if (fields_ > 1) {
-    std::vector<sim::RegGroup<CellStage>::FieldCharge> charges;
+    std::vector<sim::RegCharge> charges;
     append_in_charges(charges, path + "/ctrl", fields_);
     append_wb_charges(charges, path + "/ctrl", fields_, cells_);
     stage_ =

@@ -117,7 +117,7 @@ class SmacheTop : public TopModule {
     std::array<word_t, kMaxFields> wb_vals{};
   };
 
-  static std::vector<sim::RegGroup<Ctrl>::FieldCharge> ctrl_charges(
+  static std::vector<sim::RegCharge> ctrl_charges(
       const std::string& path, const model::BufferPlan& plan,
       std::size_t steps, std::size_t cells, std::size_t fields);
 

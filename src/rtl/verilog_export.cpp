@@ -313,6 +313,12 @@ void emit_control(Emitter& e, const model::BufferPlan& plan) {
 
 std::string export_verilog(const model::BufferPlan& plan,
                            const VerilogOptions& options) {
+  // The counters and address widths below span one height x width plane.
+  if (plan.depth() > 1)
+    throw contract_error(
+        "export_verilog models 2D plans only; this plan has depth " +
+        std::to_string(plan.depth()) +
+        " (a 3D window and slice counter are not emitted)");
   Emitter e;
   emit_header(e, plan, options);
   emit_window(e, plan, options);

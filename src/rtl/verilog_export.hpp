@@ -4,8 +4,9 @@
 // the Smache architecture given a problem with a particular stencil shape
 // and boundary conditions" and integration with FPGA tooling. The Planner
 // does the first; this module does the bridge to tooling: it emits a
-// synthesisable structural/behavioural Verilog module that mirrors the
-// simulated microarchitecture one-for-one —
+// synthesisable structural/behavioural Verilog module that, for 2D plans of
+// one-word cells (F = 1), mirrors the simulated microarchitecture
+// one-for-one —
 //
 //   * the window: one `reg [31:0]` per register-mapped age, BRAM FIFO
 //     segments as inferred block RAM (read-before-write, registered
@@ -34,7 +35,10 @@ struct VerilogOptions {
   bool annotate = true;
 };
 
-/// Render the complete Verilog module for a plan.
+/// Render the complete Verilog module for a 2D plan of one-word cells.
+/// Throws contract_error for a plan with depth > 1. The field count is not
+/// part of the plan, so a multi-field kernel cannot be rejected here: its
+/// module would carry one word per cell.
 std::string export_verilog(const model::BufferPlan& plan,
                            const VerilogOptions& options = {});
 

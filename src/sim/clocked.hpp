@@ -21,6 +21,13 @@
 // cannot affect results — and committing is skipped entirely for retained
 // elements that scheduled nothing this cycle.
 //
+// Every element commits through one of three shapes, each defined once
+// below and dispatched by a switch, never a virtual call:
+//   * CopyRegister — q <- next (Reg, RegGroup, RegArray);
+//   * FifoPointers — a pop advances the head, a push publishes the staged
+//     slot, and the channel's consumer/producer is woken (Fifo);
+//   * RamPort      — a 1R1W RAM port, read-before-write (mem::BramBank).
+//
 // Eval scheduling is activity-gated the same way (see Module below): a
 // module that declares quiescence is removed from the Simulator's active
 // list and its eval() is not called again until a wake event — a FIFO
@@ -29,103 +36,159 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace smache::sim {
 
 class Simulator;
 class Module;
 
-/// A state element participating in the clock edge. Implementations must be
-/// registered with the Simulator (construction does this), must call
-/// mark_dirty() whenever a next-state write is scheduled, and must only
-/// mutate observable state inside commit(). commit() is invoked only on
-/// cycles where the element marked itself dirty (the retained commit set
-/// may hold an element one sweep past its last write, but its commit is
-/// not re-run).
+/// A state element participating in the clock edge. Every element has one
+/// of three commit shapes — the state the paper's FSMs share (registers,
+/// FIFOs, block RAM, Fig. 1b) — and derives from the shape base that
+/// defines it: CopyRegister, FifoPointers or RamPort. There is no other
+/// commit and no virtual dispatch: the commit sweep switches on the shape.
+/// An element registers with the Simulator (construction does this), calls
+/// mark_dirty() whenever it schedules a next-state write, and changes
+/// observable state only through its shape's commit. The commit runs only
+/// on cycles where the element marked itself dirty (the retained commit
+/// set may hold an element one sweep past its last write, but its commit
+/// is not re-run).
 class Clocked {
  public:
-  // Non-copyable: an element is registered with one simulator, and the
-  // inline-commit records below point back into the element itself — a
-  // copy would alias the original's registration and dangle its records.
-  Clocked() = default;
+  // Non-copyable: an element is registered with one simulator, and a copy
+  // register's commit pointers point back into the element itself — a
+  // copy would alias the original's registration and dangle its pointers.
   Clocked(const Clocked&) = delete;
   Clocked& operator=(const Clocked&) = delete;
-  virtual ~Clocked() = default;
-  /// Apply all next-state writes scheduled during the eval phase.
-  virtual void commit() = 0;
 
  protected:
+  enum class Shape : std::uint8_t { Copy, Fifo, Ram };
+
+  explicit Clocked(Shape shape) noexcept : shape_(shape) {}
+  ~Clocked() = default;
+
   /// Enqueue this element on the owning simulator's dirty list (idempotent
   /// within a cycle). Defined in simulator.hpp, next to the queue it feeds.
   void mark_dirty();
 
-  // -- Inline-commit fast paths ---------------------------------------
-  // The commit loop's virtual dispatch is megamorphic (many element types
-  // alternate every cycle), so each call risks an indirect-branch miss.
-  // The three commit shapes that dominate dirty lists — plain register
-  // copy, FIFO pointer update, BRAM port apply — are described by small
-  // POD records the loop can execute inline through a predictable switch.
-  // commit() must stay equivalent for users that invoke it directly.
-
-  /// Commit record of a FIFO: pop advances head, push publishes the value
-  /// already staged in its ring slot. All fields point into the element.
-  /// `consumer`/`producer` are the commit-time wake targets of the channel
-  /// (see Fifo::set_consumer/set_producer): a committed push wakes the
-  /// consumer exactly when the data becomes poppable, a committed pop wakes
-  /// the producer exactly when the space becomes pushable.
-  struct FifoCommitCtl {
-    std::size_t* head;
-    std::size_t* size;
-    std::size_t capacity;
-    bool* push_pending;
-    bool* pop_pending;
-    Module* consumer = nullptr;
-    Module* producer = nullptr;
-  };
-
-  /// Commit record of a 1R1W synchronous RAM: latch read data (before the
-  /// write lands — read-before-write), then apply the write.
-  struct BramCommitCtl {
-    std::uint64_t* store;
-    std::size_t read_addr;
-    std::uint64_t rdata;
-    std::size_t write_addr;
-    std::uint64_t write_value;
-    bool read_pending;
-    bool write_pending;
-  };
-
-  /// A commit that is exactly "copy `bytes` from `src` to `dst`" (a plain
-  /// register's q_ <- next_).
-  void set_copy_commit(void* dst, const void* src,
-                       std::uint32_t bytes) noexcept {
-    fast_kind_ = FastCommit::Copy;
-    fast_a_ = dst;
-    fast_b_ = src;
-    fast_bytes_ = bytes;
-  }
-  void set_fifo_commit(FifoCommitCtl* ctl) noexcept {
-    fast_kind_ = FastCommit::Fifo;
-    fast_a_ = ctl;
-  }
-  void set_bram_commit(BramCommitCtl* ctl) noexcept {
-    fast_kind_ = FastCommit::Bram;
-    fast_a_ = ctl;
-  }
-
  private:
   friend class Simulator;
-  enum class FastCommit : std::uint8_t { None, Copy, Fifo, Bram };
 
   Simulator* sim_ = nullptr;  // set by Simulator::register_clocked
   bool queued_ = false;       // on the simulator's retained commit set
   bool wrote_ = false;        // scheduled a write THIS cycle
-  FastCommit fast_kind_ = FastCommit::None;
-  void* fast_a_ = nullptr;
-  const void* fast_b_ = nullptr;
-  std::uint32_t fast_bytes_ = 0;
+  Shape shape_;
+};
+
+/// Copy shape: a register block whose clock edge is q <- next. The owner
+/// (Reg, RegGroup, RegArray) holds both copies and binds them once.
+class CopyRegister : public Clocked {
+ protected:
+  CopyRegister() noexcept : Clocked(Shape::Copy) {}
+
+  /// Commit `bytes` from `next` to `q` at each clock edge.
+  void bind(void* q, const void* next, std::uint32_t bytes) noexcept {
+    q_ = q;
+    next_ = next;
+    bytes_ = bytes;
+  }
+
+ private:
+  friend class Simulator;
+
+  void commit() noexcept {
+    // Single-word registers (the common Reg<T> widths) commit with one
+    // inline move; only block elements go through a sized memcpy.
+    switch (bytes_) {
+      case 1:
+        *static_cast<std::uint8_t*>(q_) =
+            *static_cast<const std::uint8_t*>(next_);
+        break;
+      case 4:
+        std::memcpy(q_, next_, 4);
+        break;
+      case 8:
+        std::memcpy(q_, next_, 8);
+        break;
+      default:
+        std::memcpy(q_, next_, bytes_);
+        break;
+    }
+  }
+
+  void* q_ = nullptr;
+  const void* next_ = nullptr;
+  std::uint32_t bytes_ = 0;
+};
+
+/// FIFO shape: the head/occupancy pointers of a ring of `capacity` slots
+/// (the slots themselves live in the owner, sim::Fifo). At the clock edge
+/// a pending pop advances the head and a pending push publishes the value
+/// already staged in slot(size): that slot index is invariant under a
+/// same-cycle pop, because head and size move in lockstep.
+/// `consumer_`/`producer_` are the channel's commit-time wake targets: a
+/// committed push wakes the consumer exactly when the data becomes
+/// poppable, a committed pop wakes the producer exactly when the space
+/// becomes pushable.
+class FifoPointers : public Clocked {
+ protected:
+  explicit FifoPointers(std::size_t capacity) noexcept
+      : Clocked(Shape::Fifo), capacity_(capacity) {}
+
+  /// Ring index of the element `i` positions behind the head.
+  std::size_t slot(std::size_t i) const noexcept {
+    // One conditional subtract instead of a divide: head + i < 2 * capacity.
+    const std::size_t j = head_ + i;
+    return j >= capacity_ ? j - capacity_ : j;
+  }
+
+  std::size_t capacity_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;  // committed occupancy
+  bool push_pending_ = false;
+  bool pop_pending_ = false;
+  Module* consumer_ = nullptr;
+  Module* producer_ = nullptr;
+
+ private:
+  friend class Simulator;
+
+  /// Defined in simulator.hpp: waking a module counts sched/wakes/channel.
+  void commit(Simulator& sim) noexcept;
+};
+
+/// RAM shape: a 1R1W synchronous RAM port. At the clock edge the pending
+/// read latches its data before the pending write lands (read-before-write).
+class RamPort : public Clocked {
+ protected:
+  explicit RamPort(std::size_t depth)
+      : Clocked(Shape::Ram), store_(depth, 0) {}
+
+  std::vector<std::uint64_t> store_;
+  std::size_t read_addr_ = 0;
+  std::uint64_t rdata_ = 0;
+  std::size_t write_addr_ = 0;
+  std::uint64_t write_value_ = 0;
+  bool read_pending_ = false;
+  bool write_pending_ = false;
+
+ private:
+  friend class Simulator;
+
+  void commit() noexcept {
+    if (read_pending_) {
+      rdata_ = store_[read_addr_];
+      read_pending_ = false;
+    }
+    if (write_pending_) {
+      store_[write_addr_] = write_value_;
+      write_pending_ = false;
+    }
+  }
 };
 
 /// A behavioural block evaluated once per cycle while AWAKE. eval() may read

@@ -8,10 +8,11 @@
 //     registered. This makes producer/consumer evaluation order irrelevant;
 //   * capacity must be >= 1.
 //
-// Storage is a fixed-capacity inline ring buffer (sim::RingBuffer): the
-// depth is known at construction, exactly like the synthesised FIFO, so
-// occupancy changes are pointer arithmetic on one flat allocation — no
-// per-push heap traffic in the cycle hot loop.
+// Storage is a fixed-capacity ring of slots: the depth is known at
+// construction, exactly like the synthesised FIFO, so occupancy changes are
+// pointer arithmetic on one flat allocation — no per-push heap traffic in
+// the cycle hot loop. The head/occupancy pointers, the pending flags and
+// the clock-edge commit are the FIFO commit shape (sim::FifoPointers).
 //
 // Resource accounting: FIFOs charge `capacity * bits_each` register bits
 // plus head/tail pointers. Design-level FIFOs that should synthesise into
@@ -22,27 +23,24 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "sim/clocked.hpp"
 #include "sim/simulator.hpp"
 #include "sim/reg.hpp"
-#include "sim/ring_buffer.hpp"
 
 namespace smache::sim {
 
 template <typename T>
-class Fifo : public Clocked {
+class Fifo : public FifoPointers {
  public:
   Fifo(Simulator& sim, std::string_view path, std::size_t capacity,
        std::uint32_t bits_each = default_bits<T>())
-      : items_(capacity),
-        commit_ctl_{items_.head_ptr(), items_.size_ptr(), capacity,
-                    &push_pending_, &pop_pending_, nullptr, nullptr} {
+      : FifoPointers(capacity), slots_(capacity) {
     SMACHE_REQUIRE(capacity >= 1);
     sim.register_clocked(this);
-    set_fifo_commit(&commit_ctl_);
     const std::uint64_t ptr_bits = 2ull * (addr_bits(capacity) + 1);
     sim.ledger().add(path, ResKind::RegisterBits,
                      static_cast<std::uint64_t>(capacity) * bits_each +
@@ -57,24 +55,26 @@ class Fifo : public Clocked {
   /// sleep protocol race-free: a consumer that checks can_pop(), sees
   /// nothing, and sleeps in the same cycle a producer pushes is still
   /// woken — by the commit that publishes the value.
-  void set_consumer(Module* m) noexcept { commit_ctl_.consumer = m; }
+  void set_consumer(Module* m) noexcept { consumer_ = m; }
   /// Register the module that produces into this channel: a committed pop
   /// wakes it when the freed slot becomes pushable (back-pressure relief).
-  void set_producer(Module* m) noexcept { commit_ctl_.producer = m; }
+  void set_producer(Module* m) noexcept { producer_ = m; }
 
-  std::size_t capacity() const noexcept { return items_.capacity(); }
+  std::size_t capacity() const noexcept { return capacity_; }
   /// Committed occupancy (start-of-cycle view).
-  std::size_t size() const noexcept { return items_.size(); }
-  bool empty() const noexcept { return items_.empty(); }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
 
   /// True iff a push this cycle is accepted. Ignores this cycle's pop by
   /// design (registered-full semantics).
-  bool can_push() const noexcept { return !push_pending_ && !items_.full(); }
+  bool can_push() const noexcept {
+    return !push_pending_ && size_ < capacity_;
+  }
 
   /// Schedule a push; the value is visible to the consumer next cycle.
   /// The value is staged directly in its final ring slot (readers only see
   /// committed occupancy, and the slot index survives a same-cycle pop), so
-  /// commit() publishes it without a second copy.
+  /// the commit publishes it without a second copy.
   void push(const T& v) { push_slot() = v; }
 
   /// Zero-copy variant of push() for wide messages: schedules the push and
@@ -89,23 +89,25 @@ class Fifo : public Clocked {
     // being scheduled. The occupancy math stays behind the enabled check
     // so the disabled path is one branch, not a computation.
     if (mreg_->enabled())
-      mreg_->watermark(hwm_slot_,
-                       static_cast<std::uint64_t>(items_.size()) + 1);
-    return items_.staging_back();
+      mreg_->watermark(hwm_slot_, static_cast<std::uint64_t>(size_) + 1);
+    return slots_[slot(size_)];
   }
 
   /// True iff a pop this cycle would return data.
-  bool can_pop() const noexcept { return !pop_pending_ && !items_.empty(); }
+  bool can_pop() const noexcept { return !pop_pending_ && size_ != 0; }
 
   /// Committed front element; valid only when can_pop().
-  const T& front() const { return items_.front(); }
+  const T& front() const {
+    SMACHE_REQUIRE(size_ != 0);
+    return slots_[head_];
+  }
 
   /// Schedule a pop of the front element and return it.
   T pop() {
     SMACHE_REQUIRE_MSG(can_pop(), "fifo underflow or double pop in a cycle");
     pop_pending_ = true;
     mark_dirty();
-    return items_.front();
+    return slots_[head_];
   }
 
   /// Zero-copy variant of pop() for wide messages: schedules the pop
@@ -117,26 +119,8 @@ class Fifo : public Clocked {
     mark_dirty();
   }
 
-  void commit() override {
-    // Kept equivalent to the Simulator's inline FIFO fast path, including
-    // the commit-time wake notifications.
-    if (pop_pending_) {
-      items_.pop_front();
-      pop_pending_ = false;
-      if (commit_ctl_.producer != nullptr) commit_ctl_.producer->wake();
-    }
-    if (push_pending_) {
-      items_.commit_back();
-      push_pending_ = false;
-      if (commit_ctl_.consumer != nullptr) commit_ctl_.consumer->wake();
-    }
-  }
-
  private:
-  RingBuffer<T> items_;
-  bool push_pending_ = false;
-  bool pop_pending_ = false;
-  FifoCommitCtl commit_ctl_;
+  std::vector<T> slots_;
   obs::MetricsRegistry* mreg_ = nullptr;  // owned by the Simulator
   obs::MetricsRegistry::Slot hwm_slot_ = 0;
 };

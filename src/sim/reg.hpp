@@ -1,6 +1,8 @@
-// Flip-flop primitives: Reg<T> (a single register) and RegArray<T> (a block
-// of registers with one commit). Both charge their bit counts to the
-// ResourceLedger so elaborated designs produce synthesis-style reports.
+// Flip-flop primitives: Reg<T> (a single register), RegGroup<S> (a struct
+// of registers) and RegArray<T> (a block of registers). All three commit
+// through the copy shape (sim::CopyRegister, q <- next) and charge their
+// bit counts to the ResourceLedger so elaborated designs produce
+// synthesis-style reports.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +18,12 @@
 
 namespace smache::sim {
 
+/// One ledger charge of a register: the synthesis path and width.
+struct RegCharge {
+  std::string path;
+  std::uint32_t bits;
+};
+
 /// Default resource width for a register holding T. Override per-register
 /// for packed fields (FSM states, flags, counters) via the `bits` argument.
 template <typename T>
@@ -28,7 +36,10 @@ constexpr std::uint32_t default_bits() noexcept {
 /// the next value. If d() is not called in a cycle the register holds (and
 /// the register never appears on that cycle's dirty list).
 template <typename T>
-class Reg : public Clocked {
+class Reg : public CopyRegister {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "Reg commits by copying bytes: T must be trivially copyable");
+
  public:
   /// `bits` is the synthesis width charged to the ledger (e.g. a 7-bit
   /// counter stored in an int should pass 7).
@@ -36,8 +47,7 @@ class Reg : public Clocked {
       std::uint32_t bits = default_bits<T>())
       : q_(init), next_(init) {
     sim.register_clocked(this);
-    if constexpr (std::is_trivially_copyable_v<T>)
-      set_copy_commit(&q_, &next_, sizeof(T));
+    bind(&q_, &next_, sizeof(T));
     sim.ledger().add(path, ResKind::RegisterBits, bits);
   }
 
@@ -46,8 +56,6 @@ class Reg : public Clocked {
     next_ = v;
     mark_dirty();
   }
-
-  void commit() override { q_ = next_; }
 
  private:
   T q_;
@@ -67,28 +75,24 @@ class Reg : public Clocked {
 /// field — paths and widths identical to the discrete Regs they replace —
 /// so synthesis-style reports cannot tell the difference.
 template <typename S>
-class RegGroup : public Clocked {
- public:
-  struct FieldCharge {
-    std::string path;
-    std::uint32_t bits;
-  };
+class RegGroup : public CopyRegister {
+  static_assert(std::is_trivially_copyable_v<S>,
+                "RegGroup needs a trivially copyable state struct");
 
+ public:
   RegGroup(Simulator& sim, const S& init,
-           std::initializer_list<FieldCharge> fields)
+           std::initializer_list<RegCharge> fields)
       : RegGroup(sim, init,
-                 std::vector<FieldCharge>(fields.begin(), fields.end())) {}
+                 std::vector<RegCharge>(fields.begin(), fields.end())) {}
 
   /// Vector overload for callers whose charge list is built conditionally
   /// (e.g. extra staging registers only present for multi-field cells).
   RegGroup(Simulator& sim, const S& init,
-           const std::vector<FieldCharge>& fields)
+           const std::vector<RegCharge>& fields)
       : q_(init), next_(init) {
-    static_assert(std::is_trivially_copyable_v<S>,
-                  "RegGroup needs a trivially copyable state struct");
     sim.register_clocked(this);
-    set_copy_commit(&q_, &next_, sizeof(S));
-    for (const FieldCharge& f : fields)
+    bind(&q_, &next_, sizeof(S));
+    for (const RegCharge& f : fields)
       sim.ledger().add(f.path, ResKind::RegisterBits, f.bits);
   }
 
@@ -101,33 +105,36 @@ class RegGroup : public Clocked {
     return next_;
   }
 
-  void commit() override { q_ = next_; }
-
  private:
   S q_;
   S next_;
 };
 
-/// A block of N registers committed together (e.g. a tuple register bank).
-/// One Clocked registration regardless of N keeps large blocks fast to
-/// commit.
+/// A block of N registers committed together (e.g. a tuple register bank
+/// or a pipeline's stage registers). One Clocked registration regardless
+/// of N keeps large blocks fast to commit.
 template <typename T>
-class RegArray : public Clocked {
+class RegArray : public CopyRegister {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "RegArray commits by copying bytes: T must be trivially "
+                "copyable");
+
  public:
+  /// Charges `count * bits_each` register bits under `path`.
   RegArray(Simulator& sim, std::string_view path, std::size_t count, T init,
            std::uint32_t bits_each = default_bits<T>())
-      : q_(count, init), next_(count, init) {
-    sim.register_clocked(this);
-    // The commit is always a whole-array block copy: every commit
-    // re-establishes q_ == next_, so unwritten slots republish their held
-    // value — a per-index write set would commit the identical bytes. For
-    // trivially copyable T that is the simulator's inline memcpy fast
-    // path; no virtual dispatch, no per-index bookkeeping.
-    if constexpr (std::is_trivially_copyable_v<T>)
-      set_copy_commit(q_.data(), next_.data(),
-                      static_cast<std::uint32_t>(count * sizeof(T)));
+      : RegArray(sim, count, init) {
     sim.ledger().add(path, ResKind::RegisterBits,
                      static_cast<std::uint64_t>(count) * bits_each);
+  }
+
+  /// Charges one entry per element of `charges` (paths and widths of the
+  /// discrete registers the block stands for, e.g. per pipeline stage).
+  RegArray(Simulator& sim, std::size_t count, T init,
+           const std::vector<RegCharge>& charges)
+      : RegArray(sim, count, init) {
+    for (const RegCharge& c : charges)
+      sim.ledger().add(c.path, ResKind::RegisterBits, c.bits);
   }
 
   std::size_t size() const noexcept { return q_.size(); }
@@ -143,9 +150,24 @@ class RegArray : public Clocked {
     mark_dirty();
   }
 
-  void commit() override { q_ = next_; }
+  /// Next-state block for a whole-array write: the caller assigns every
+  /// element it changes; everything else holds.
+  T* d() {
+    mark_dirty();
+    return next_.data();
+  }
 
  private:
+  RegArray(Simulator& sim, std::size_t count, T init)
+      : q_(count, init), next_(count, init) {
+    sim.register_clocked(this);
+    // The commit is always a whole-array block copy: every commit
+    // re-establishes q_ == next_, so unwritten slots republish their held
+    // value — a per-index write set would commit the identical bytes.
+    bind(q_.data(), next_.data(),
+         static_cast<std::uint32_t>(count * sizeof(T)));
+  }
+
   std::vector<T> q_;
   std::vector<T> next_;
 };

@@ -1,8 +1,8 @@
-// Fixed-capacity inline ring buffer — the storage behind sim::Fifo and the
-// DRAM transit pipe. Capacity is known at construction (hardware FIFOs have
-// a synthesised depth), so the backing store is one flat allocation made
-// once; push/pop are two or three scalar ops with no pointer chasing, unlike
-// the chunked std::deque they replace in the simulation hot loop.
+// Fixed-capacity inline ring buffer — the storage behind the DRAM transit
+// pipe. Capacity is known at construction, so the backing store is one flat
+// allocation made once; push/pop are two or three scalar ops with no
+// pointer chasing, unlike the chunked std::deque they replace in the
+// simulation hot loop.
 #pragma once
 
 #include <cstddef>
@@ -41,20 +41,6 @@ class RingBuffer {
     --size_;
   }
 
-  /// The slot just past the back — writable staging space for a two-phase
-  /// producer: fill it any time before commit_back(), which publishes it as
-  /// the new back element. The slot index is invariant under a same-phase
-  /// pop_front() (head and size move in lockstep), so a FIFO can stage its
-  /// pending push here during eval and commit pop-then-push safely.
-  T& staging_back() {
-    SMACHE_REQUIRE(size_ < buf_.size());
-    return buf_[wrap(head_ + size_)];
-  }
-  void commit_back() {
-    SMACHE_REQUIRE(size_ < buf_.size());
-    ++size_;
-  }
-
   /// Element `i` positions behind the front (i == 0 is the front).
   const T& at(std::size_t i) const {
     SMACHE_REQUIRE(i < size_);
@@ -65,11 +51,6 @@ class RingBuffer {
     head_ = 0;
     size_ = 0;
   }
-
-  /// Raw pointer access to the cursor fields, for owners that register an
-  /// inline-commit record (sim::Clocked::FifoCommitCtl) over this buffer.
-  std::size_t* head_ptr() noexcept { return &head_; }
-  std::size_t* size_ptr() noexcept { return &size_; }
 
  private:
   std::size_t wrap(std::size_t i) const noexcept {

@@ -10,7 +10,11 @@
 //   * commit — state elements that scheduled a write sit on a retained
 //     commit set; elements that keep writing pay one flag store per cycle
 //     (no queue churn), elements that go quiet are dropped by the next
-//     sweep.
+//     sweep. The sweep switches on each element's commit shape (copy
+//     register, FIFO pointers, RAM port — clocked.hpp) and runs that
+//     shape's one commit definition inline.
+// step_burst is the one cycle loop: step() is a burst of one, and
+// run_until/run_until_done step in bursts between completion checks.
 // Gating is an optimisation bound by a correctness contract (a sleeping
 // module's eval must be observable-state-neutral); set_force_eval_all(true)
 // runs every module every cycle so tests can cross-check the two modes.
@@ -18,8 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -174,49 +176,17 @@ class Simulator {
     }
   }
 
-  /// Advance exactly one cycle: eval phase (awake modules only) then commit
-  /// phase (elements with writes scheduled this cycle only). A dedicated
-  /// body (no burst bookkeeping, no idle fast-forward — a single idle cycle
-  /// IS the fast-forward) keeps the testbench-driven single-step loops of
-  /// the primitive benches lean.
-  void step() {
-    if (modules_.empty()) {
-      // Testbench-driven fast path: with no modules registered there can be
-      // no timers to fire and no active list to maintain — the cycle is
-      // exactly the commit of whatever the testbench scheduled directly on
-      // FIFOs/BRAMs/registers. The primitive microbenches live here.
-      if (!commit_set_.empty()) commit_retained();
-      if (prof_) ++prof_idle_cycles_;
-      ++cycle_;
-      return;
-    }
-    if (next_timer_wake_ <= cycle_ || active_stale_) refresh_schedule();
-    if (active_.empty()) {
-      // Every module is asleep (and no timer is due): evals are provably
-      // state-neutral, so only the scheduled commits can do work.
-      if (!commit_set_.empty()) commit_retained();
-      if (prof_) ++prof_idle_cycles_;
-      ++cycle_;
-      return;
-    }
-    Module* const* mods = active_.data();
-    const std::size_t m = active_.size();
-    for (std::size_t i = 0; i < m; ++i) mods[i]->eval();
-    if (prof_) {
-      ++prof_eval_cycles_;
-      for (std::size_t i = 0; i < m; ++i) ++mods[i]->obs_awake_cycles_;
-    }
-    commit_retained();
-    ++cycle_;
-  }
+  /// Advance exactly one cycle: a burst of one (see step_burst).
+  void step() { step_burst(1); }
 
   /// Step until `done()` returns true (checked after each cycle) or
   /// `max_cycles` elapse. Returns the number of cycles stepped.
   /// Throws if the budget is exhausted before completion — a hang in the
   /// simulated design is a bug, never silent.
-  std::uint64_t run_until(const std::function<bool()>& done,
-                          std::uint64_t max_cycles) {
-    return run_until_done(done, [] { return std::uint64_t{1}; }, max_cycles);
+  template <typename Done>
+  std::uint64_t run_until(Done&& done, std::uint64_t max_cycles) {
+    return run_until_done(std::forward<Done>(done),
+                          [] { return std::uint64_t{1}; }, max_cycles);
   }
 
   /// Batched completion polling: step in bursts, checking `done()` only
@@ -293,10 +263,8 @@ class Simulator {
   }
 
   void commit_retained() {
-    // commit() must not schedule new writes, so the set cannot grow here
+    // A commit never schedules new writes, so the set cannot grow here
     // (waking modules during a FIFO commit only flips scheduling flags).
-    // The switch executes the three dominant commit shapes inline (see
-    // clocked.hpp) — only irregular elements pay a virtual dispatch.
     // Elements that stopped writing are compacted out in the same sweep.
     Clocked** set = commit_set_.data();
     const std::size_t n = commit_set_.size();
@@ -310,66 +278,26 @@ class Simulator {
       c->wrote_ = false;
       if (keep != i) set[keep] = c;
       ++keep;
-      switch (c->fast_kind_) {
-        case Clocked::FastCommit::Copy:
-          // Single-word registers (the common Reg<T> widths) commit with
-          // one inline move; only block elements (RegArray/RegGroup/stage
-          // pipes) go through memcpy.
-          switch (c->fast_bytes_) {
-            case 1:
-              *static_cast<std::uint8_t*>(c->fast_a_) =
-                  *static_cast<const std::uint8_t*>(c->fast_b_);
-              break;
-            case 4:
-              std::memcpy(c->fast_a_, c->fast_b_, 4);
-              break;
-            case 8:
-              std::memcpy(c->fast_a_, c->fast_b_, 8);
-              break;
-            default:
-              std::memcpy(c->fast_a_, c->fast_b_, c->fast_bytes_);
-              break;
-          }
+      switch (c->shape_) {
+        case Clocked::Shape::Copy:
+          static_cast<CopyRegister*>(c)->commit();
           break;
-        case Clocked::FastCommit::Fifo: {
-          auto* f = static_cast<Clocked::FifoCommitCtl*>(c->fast_a_);
-          if (*f->pop_pending) {
-            *f->head = *f->head + 1 == f->capacity ? 0 : *f->head + 1;
-            --*f->size;
-            *f->pop_pending = false;
-            if (f->producer != nullptr) {
-              if (prof_ && f->producer->asleep_) ++wakes_channel_;
-              f->producer->wake();
-            }
-          }
-          if (*f->push_pending) {
-            ++*f->size;
-            *f->push_pending = false;
-            if (f->consumer != nullptr) {
-              if (prof_ && f->consumer->asleep_) ++wakes_channel_;
-              f->consumer->wake();
-            }
-          }
+        case Clocked::Shape::Fifo:
+          static_cast<FifoPointers*>(c)->commit(*this);
           break;
-        }
-        case Clocked::FastCommit::Bram: {
-          auto* b = static_cast<Clocked::BramCommitCtl*>(c->fast_a_);
-          if (b->read_pending) {
-            b->rdata = b->store[b->read_addr];
-            b->read_pending = false;
-          }
-          if (b->write_pending) {
-            b->store[b->write_addr] = b->write_value;
-            b->write_pending = false;
-          }
-          break;
-        }
-        case Clocked::FastCommit::None:
-          c->commit();
+        case Clocked::Shape::Ram:
+          static_cast<RamPort*>(c)->commit();
           break;
       }
     }
     if (keep != n) commit_set_.resize(keep);
+  }
+
+  /// A FIFO commit waking its channel's module: counted as a channel wake
+  /// when the module was asleep.
+  void wake_on_channel(Module* m) noexcept {
+    if (prof_ && m->asleep_) ++wakes_channel_;
+    m->wake();
   }
 
   /// Cold path of the per-cycle prologue: fire due timer wakes, then
@@ -433,8 +361,9 @@ class Simulator {
     if (!m->asleep_) m->obs_awake_since_ = cycle_;
   }
 
-  friend class Clocked;  // mark_dirty() appends to commit_set_
-  friend class Module;   // sleep/sleep_for/wake flip scheduling state
+  friend class Clocked;       // mark_dirty() appends to commit_set_
+  friend class FifoPointers;  // commit wakes through wake_on_channel
+  friend class Module;        // sleep/sleep_for/wake flip scheduling state
 
   std::uint64_t cycle_ = 0;
   std::vector<Module*> modules_;   // all registered, registration order
@@ -469,6 +398,20 @@ inline void Clocked::mark_dirty() {
                     "Simulator");
   queued_ = true;
   sim_->commit_set_.push_back(this);
+}
+
+inline void FifoPointers::commit(Simulator& sim) noexcept {
+  if (pop_pending_) {
+    head_ = slot(1);
+    --size_;
+    pop_pending_ = false;
+    if (producer_ != nullptr) sim.wake_on_channel(producer_);
+  }
+  if (push_pending_) {
+    ++size_;
+    push_pending_ = false;
+    if (consumer_ != nullptr) sim.wake_on_channel(consumer_);
+  }
 }
 
 inline void Module::wake() noexcept {

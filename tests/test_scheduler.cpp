@@ -102,6 +102,89 @@ class TimerSleeper : public sim::Module {
   std::uint64_t interval_;
 };
 
+/// Producer that pushes `count` values at most one per `gap` cycles (a
+/// timer sleep between pushes) and sleeps on a full channel until the
+/// pop-commit wake.
+class PacedProducer : public sim::Module {
+ public:
+  PacedProducer(sim::Simulator& sim, sim::Fifo<int>& out, int count,
+                std::uint64_t gap)
+      : sim_(sim), out_(out), count_(count), gap_(gap) {
+    out_.set_producer(this);
+    sim.add_module(this);
+  }
+  void eval() override {
+    ++evals;
+    if (next_ == count_) {
+      sleep();
+      return;
+    }
+    if (sim_.now() < ready_at_) {  // woken early by a pop commit
+      sleep_for(ready_at_ - sim_.now());
+      return;
+    }
+    if (!out_.can_push()) {
+      sleep();
+      return;
+    }
+    out_.push(next_++);
+    ready_at_ = sim_.now() + gap_;
+    sleep_for(gap_);
+  }
+  std::uint64_t evals = 0;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Fifo<int>& out_;
+  int count_;
+  std::uint64_t gap_;
+  int next_ = 0;
+  std::uint64_t ready_at_ = 0;
+};
+
+TEST(Scheduler, FifoCommitWakesSleeperAndCountsOneChannelWake) {
+  {
+    // A committed push wakes the asleep consumer; a push committing while
+    // it is awake is no wake at all.
+    sim::Simulator sim;
+    sim.enable_profiling();
+    sim::Fifo<int> chan(sim, "chan", 2);
+    SleepyConsumer consumer(sim, chan);
+    sim.step();  // empty channel: the consumer sleeps
+    ASSERT_TRUE(consumer.asleep());
+    chan.push(1);
+    sim.step();  // the push commit wakes it
+    EXPECT_FALSE(consumer.asleep());
+    chan.push(2);
+    sim.step();  // consumer pops 1 while awake; the push of 2 commits
+    EXPECT_EQ(consumer.values, std::vector<int>{1});
+    sim.finalize_observability();
+    EXPECT_EQ(sim.metrics().value("sched/wakes/channel"), 1u);
+    EXPECT_EQ(sim.metrics().value("sched/wakes/explicit"), 0u);
+  }
+  {
+    // A committed pop wakes the producer asleep on a full channel.
+    sim::Simulator sim;
+    sim.enable_profiling();
+    sim::Fifo<int> chan(sim, "chan", 1);
+    PacedProducer producer(sim, chan, 3, 1);
+    sim.step();  // pushes 0
+    sim.step();  // full: sleeps until a pop commits
+    sim.step();
+    ASSERT_TRUE(producer.asleep());
+    EXPECT_EQ(producer.evals, 2u);
+    EXPECT_EQ(chan.pop(), 0);
+    sim.step();  // the pop commit wakes it
+    EXPECT_FALSE(producer.asleep());
+    sim.step();  // pushes 1
+    EXPECT_EQ(producer.evals, 3u);
+    EXPECT_EQ(chan.front(), 1);
+    sim.finalize_observability();
+    EXPECT_EQ(sim.metrics().value("sched/wakes/channel"), 1u);
+    EXPECT_EQ(sim.metrics().value("sched/wakes/explicit"), 0u);
+  }
+}
+
 TEST(Scheduler, SleepForWakesExactlyOnSchedule) {
   sim::Simulator sim;
   TimerSleeper mod(sim, 5);
@@ -129,6 +212,51 @@ TEST(Scheduler, RunUntilFastForwardsThroughAllAsleepStretch) {
   EXPECT_EQ(stepped, 2001u);  // evals at 0, 1000, 2000
   EXPECT_EQ(sim.now(), 2001u);
   EXPECT_EQ(mod.eval_cycles, (std::vector<std::uint64_t>{0, 1000, 2000}));
+}
+
+TEST(Scheduler, StepLoopMatchesRunUntilDone) {
+  // step() is a one-cycle burst of the loop run_until_done drives, so a
+  // module-driven design — channel sleepers and timer sleepers — reaches
+  // the same cycle, state and cycle attribution under either driver.
+  constexpr int kValues = 12;
+  struct Design {
+    sim::Simulator sim;
+    sim::Fifo<int> chan{sim, "chan", 2};
+    PacedProducer producer{sim, chan, kValues, 5};
+    SleepyConsumer consumer{sim, chan};
+    TimerSleeper timer{sim, 7};
+    Design() { sim.enable_profiling(); }
+    bool done() const { return consumer.values.size() == kValues; }
+    std::uint64_t metric(const char* path) const {
+      return sim.metrics().value(path);
+    }
+  };
+  Design stepped;
+  while (!stepped.done()) stepped.sim.step();
+  Design burst;
+  const std::uint64_t cycles = burst.sim.run_until_done(
+      [&] { return burst.done(); },
+      // Sound: the consumer takes at most one value per cycle.
+      [&] { return kValues - burst.consumer.values.size(); }, 100000);
+
+  EXPECT_EQ(cycles, stepped.sim.now());
+  EXPECT_EQ(burst.sim.now(), stepped.sim.now());
+  EXPECT_EQ(burst.consumer.values, stepped.consumer.values);
+  EXPECT_EQ(burst.consumer.evals, stepped.consumer.evals);
+  EXPECT_EQ(burst.producer.evals, stepped.producer.evals);
+  EXPECT_EQ(burst.timer.eval_cycles, stepped.timer.eval_cycles);
+  for (Design* d : {&stepped, &burst}) {
+    d->sim.finalize_observability();
+    EXPECT_EQ(d->metric("sched/cycles/eval") + d->metric("sched/cycles/idle") +
+                  d->metric("sched/cycles/fastforward"),
+              d->metric("sched/cycles/total"));
+    EXPECT_GT(d->metric("sched/cycles/fastforward"), 0u);
+  }
+  for (const char* path :
+       {"sched/cycles/total", "sched/cycles/eval", "sched/cycles/idle",
+        "sched/cycles/fastforward", "sched/wakes/channel",
+        "sched/wakes/timer"})
+    EXPECT_EQ(burst.metric(path), stepped.metric(path)) << path;
 }
 
 TEST(Scheduler, ExplicitWakeCancelsTimerSleep) {

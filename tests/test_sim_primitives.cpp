@@ -224,18 +224,23 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
   EXPECT_THROW(rb.at(3), smache::contract_error);
 }
 
-TEST(RingBuffer, StagingBackSurvivesSameCyclePop) {
-  // The slot index handed out by staging_back() must stay the published
-  // back slot when a pop commits first — the FIFO's commit order.
-  RingBuffer<int> rb(2);
-  rb.push_back(10);
-  rb.push_back(11);
-  rb.pop_front();          // room opens...
-  rb.staging_back() = 12;  // ...and the staged slot lands right behind 11
-  rb.commit_back();
-  EXPECT_EQ(rb.front(), 11);
-  rb.pop_front();
-  EXPECT_EQ(rb.front(), 12);
+TEST(Fifo, StagedPushSurvivesSameCyclePop) {
+  // The slot a push stages into must stay the published back slot when a
+  // same-cycle pop advances the head at the clock edge — the FIFO commit's
+  // pop-then-push order — across every wrap of the ring.
+  Simulator sim;
+  Fifo<int> f(sim, "f", 3);
+  f.push(0);
+  sim.step();
+  f.push(1);
+  sim.step();
+  for (int next = 2; next < 20; ++next) {
+    EXPECT_EQ(f.pop(), next - 2);
+    f.push_slot() = next;
+    sim.step();
+    EXPECT_EQ(f.size(), 2u);
+    EXPECT_EQ(f.front(), next - 1);
+  }
 }
 
 TEST(Fifo, PushSlotAndDropMatchPushAndPop) {

@@ -4,6 +4,9 @@
 // boundary case.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/assert.hpp"
 #include "model/planner.hpp"
 #include "rtl/verilog_export.hpp"
 
@@ -32,6 +35,22 @@ TEST(VerilogExport, LintCleanForPaperPlan) {
   EXPECT_EQ(lint_verilog(text), "");
   EXPECT_NE(text.find("module smache_top"), std::string::npos);
   EXPECT_NE(text.find("endmodule"), std::string::npos);
+}
+
+TEST(VerilogExport, RejectsThreeDimensionalPlans) {
+  // The emitted counters span one height x width plane, so a 3D plan has
+  // no faithful module: it is refused with the reason, never exported.
+  const auto plan = model::Planner().plan(8, 8, 6,
+                                          grid::StencilShape::star7(),
+                                          grid::BoundarySpec::all_open());
+  ASSERT_EQ(plan.depth(), 6u);
+  try {
+    (void)export_verilog(plan);
+    FAIL() << "a depth-6 plan was exported";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("depth 6"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(VerilogExport, WindowRegistersMatchPlan) {

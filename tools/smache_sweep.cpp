@@ -29,9 +29,11 @@
 #include <cctype>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/cli.hpp"
@@ -194,6 +196,20 @@ sweep::SweepSpec resolve_spec(const CliArgs& args) {
   return sweep::load_spec_file(spec_path);
 }
 
+/// Strict parse of a count flag: a sign, junk, overflow or a value above
+/// `max` throws an error naming the flag. 0 passes through (it means "all
+/// cores" or "off" to the caller).
+std::uint64_t count_flag(const CliArgs& args, const std::string& flag,
+                         const char* fallback, std::uint64_t max) {
+  const std::string name = "--" + flag;
+  const std::uint64_t value =
+      sweep::parse_u64(args.get_string(flag, fallback), name.c_str());
+  if (value > max)
+    throw contract_error("malformed " + name + " '" + std::to_string(value) +
+                         "' (at most " + std::to_string(max) + ")");
+  return value;
+}
+
 double run_wall_ms(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   fn();
@@ -274,6 +290,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Worker counts and the watchdog are checked before anything runs: a
+  // negative or malformed value must not become SIZE_MAX workers or a
+  // 49-day timeout.
+  sweep::ExecutorOptions opts;
+  try {
+    opts.threads = count_flag(args, "threads", "0", SIZE_MAX);
+    // Intra-scenario parallelism: workers for each tiled scenario's
+    // per-pass tile loop. Defaults to 1 (serial tiles) so scenario-level
+    // parallelism is not oversubscribed unless explicitly requested.
+    opts.tile_threads = count_flag(args, "tile-threads", "1", SIZE_MAX);
+    opts.wall_timeout_ms = static_cast<std::uint32_t>(
+        count_flag(args, "timeout-ms", "0", UINT32_MAX));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "smache-sweep: %s\n", e.what());
+    return 2;
+  }
+  if (opts.threads == 0) opts.threads = hardware_threads();
+  if (opts.tile_threads == 0) opts.tile_threads = hardware_threads();
+
   sweep::SweepSpec spec;
   try {
     spec = resolve_spec(args);
@@ -318,19 +353,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", save_spec_path.c_str());
   }
 
-  sweep::ExecutorOptions opts;
-  opts.threads =
-      static_cast<std::size_t>(args.get_int("threads", 0));
-  if (opts.threads == 0) opts.threads = hardware_threads();
-  // Intra-scenario parallelism: workers for each tiled scenario's per-pass
-  // tile loop. Defaults to 1 (serial tiles) so scenario-level parallelism
-  // is not oversubscribed unless explicitly requested.
-  opts.tile_threads =
-      static_cast<std::size_t>(args.get_int("tile-threads", 1));
-  if (opts.tile_threads == 0) opts.tile_threads = hardware_threads();
   opts.verify_reference = args.get_bool("verify-reference", false);
-  opts.wall_timeout_ms = static_cast<std::uint32_t>(
-      args.get_int("timeout-ms", 0));
   opts.metrics = args.get_bool("metrics", false);
   const std::string trace_dir = args.get_string("trace-out", "");
   if (args.has("trace-out") && trace_dir.empty()) {
