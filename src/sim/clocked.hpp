@@ -41,6 +41,8 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/ring_buffer.hpp"
+
 namespace smache::sim {
 
 class Simulator;
@@ -141,9 +143,7 @@ class FifoPointers : public Clocked {
 
   /// Ring index of the element `i` positions behind the head.
   std::size_t slot(std::size_t i) const noexcept {
-    // One conditional subtract instead of a divide: head + i < 2 * capacity.
-    const std::size_t j = head_ + i;
-    return j >= capacity_ ? j - capacity_ : j;
+    return ring_index(head_, i, capacity_);
   }
 
   std::size_t capacity_;
